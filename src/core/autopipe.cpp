@@ -227,6 +227,7 @@ AutoPipeResult auto_plan(const ModelConfig& config,
     }
   }
 
+  int sweep_evaluations = 0;
   for (int d : depths) {
     ParallelPlan candidate;
     candidate.algorithm = "autopipe";
@@ -257,6 +258,7 @@ AutoPipeResult auto_plan(const ModelConfig& config,
         popts.memo = options.memo_provider(config, static_cast<int>(m), comm);
       }
       planned = plan(config, d, static_cast<int>(m), popts);
+      sweep_evaluations += planned.evaluations;
       if (!planned.feasible) continue;
     }
     candidate.partition = planned.partition;
@@ -314,6 +316,7 @@ AutoPipeResult auto_plan(const ModelConfig& config,
       }
     }
   }
+  best.plan.evaluations = sweep_evaluations;
   best.plan.planning_ms = std::chrono::duration<double, std::milli>(
                               std::chrono::steady_clock::now() - t0)
                               .count();

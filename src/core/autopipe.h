@@ -46,6 +46,11 @@ struct ParallelPlan {
   /// not sharded, so memory pressure stays per-replica).
   bool shard_micro_batches = true;
   double planning_ms = 0;          ///< search time (Fig. 12)
+  /// Search effort of the whole planner call as a deterministic count
+  /// (Fig. 12 without the clock): AutoPipe's Planner scheme evaluations
+  /// summed over its depth sweep, DAPPLE's and Piper's objective
+  /// evaluations.
+  int evaluations = 0;
 
   int num_stages() const { return partition.num_stages(); }
   int total_devices() const;

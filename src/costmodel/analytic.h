@@ -33,7 +33,8 @@ struct Block {
   double bwd_ms = 0;    ///< backward time; includes recompute when enabled
   /// B/W decomposition of bwd_ms for zero-bubble schedules: the grad-input
   /// pass (B, includes the recompute) and the grad-weight pass (W).
-  /// Invariant: bwd_input_ms + bwd_weight_ms == bwd_ms.
+  /// Invariant: bwd_input_ms == bwd_ms - bwd_weight_ms, so the two sum to
+  /// bwd_ms up to that subtraction's rounding.
   double bwd_input_ms = 0;
   double bwd_weight_ms = 0;
   double param_bytes = 0;

@@ -10,6 +10,7 @@
 #include <emmintrin.h>
 #endif
 
+#include "model/gelu_kernels.h"
 #include "util/thread_pool.h"
 
 namespace autopipe::model {
@@ -77,16 +78,19 @@ void panel_for(int rows, double flops,
   });
 }
 
-constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
+// GELU's per-element math; gelu_avx2.cpp repeats it in lanes, bit for bit.
+using kernels::kGeluC;
+using kernels::kGeluCubic;
 
 float gelu_one(float v) {
-  return 0.5f * v * (1.0f + std::tanh(kGeluC * (v + 0.044715f * v * v * v)));
+  return 0.5f * v *
+         (1.0f + kernels::fdlibm_tanhf(kGeluC * (v + kGeluCubic * v * v * v)));
 }
 
 float gelu_grad_one(float v) {
-  const float u = kGeluC * (v + 0.044715f * v * v * v);
-  const float t = std::tanh(u);
-  const float du = kGeluC * (1.0f + 3.0f * 0.044715f * v * v);
+  const float u = kGeluC * (v + kGeluCubic * v * v * v);
+  const float t = kernels::fdlibm_tanhf(u);
+  const float du = kGeluC * (1.0f + 3.0f * kGeluCubic * v * v);
   return 0.5f * (1.0f + t) + 0.5f * v * (1.0f - t * t) * du;
 }
 
@@ -880,10 +884,15 @@ Tensor gelu(const Tensor& x) {
   const float* px = x.data();
   float* py = y.data();
   const int total = static_cast<int>(x.numel());
+  const bool avx2 = kernels::avx2_supported();
   // Elementwise: chunk the flat index range. tanh is expensive enough that
   // the flop estimate undercounts, so weigh it up.
   panel_for((total + 255) / 256, 32.0 * total, [&](int c0, int c1) {
     const int e0 = c0 * 256, e1 = std::min(total, c1 * 256);
+    if (avx2) {
+      kernels::avx2_gelu(px + e0, py + e0, e1 - e0);
+      return;
+    }
     for (int i = e0; i < e1; ++i) py[i] = gelu_one(px[i]);
   });
   return y;
@@ -897,8 +906,13 @@ Tensor gelu_backward(const Tensor& x, const Tensor& dy) {
   const float* pdy = dy.data();
   float* pdx = dx.data();
   const int total = static_cast<int>(x.numel());
+  const bool avx2 = kernels::avx2_supported();
   panel_for((total + 255) / 256, 32.0 * total, [&](int c0, int c1) {
     const int e0 = c0 * 256, e1 = std::min(total, c1 * 256);
+    if (avx2) {
+      kernels::avx2_gelu_backward(px + e0, pdy + e0, pdx + e0, e1 - e0);
+      return;
+    }
     for (int i = e0; i < e1; ++i) pdx[i] = pdy[i] * gelu_grad_one(px[i]);
   });
   return dx;

@@ -75,7 +75,12 @@ Tensor linear_backward_input(const Tensor& w, const Tensor& dy);
 /// dw = x^T * dy, dbias = column sums of dy (ascending-row order).
 LinearWeightGrads linear_backward_weight(const Tensor& x, const Tensor& dy);
 
-/// GELU, tanh approximation (as GPT-2 uses).
+/// GELU, tanh approximation (as GPT-2 uses). tanh is the library's own
+/// copy of glibc 2.36's fdlibm tanhf (model/gelu_kernels.h), so results do
+/// not depend on the host libm. The fast path runs 8-lane AVX2 kernels from
+/// a separately compiled translation unit when the CPU has AVX2 (checked
+/// once per process) and the scalar copy otherwise; both are bit-identical
+/// to ref::.
 Tensor gelu(const Tensor& x);
 Tensor gelu_backward(const Tensor& x, const Tensor& dy);
 

@@ -168,6 +168,7 @@ core::ParallelPlan dapple_plan(const core::ModelConfig& config, int gpus,
 
   for (std::size_t i = 0; i < candidates.size(); ++i) {
     if (!scores[i].ok) continue;
+    best.evaluations += gpus;  // one objective per placement offset
     const std::vector<int>& replicas = candidates[i].replicas;
     for (int offset = 0; offset < gpus; ++offset) {
       const double obj = scores[i].offset_objs[offset];

@@ -157,7 +157,9 @@ core::ParallelPlan piper_plan(const core::ModelConfig& config, int gpus,
   }
 
   for (std::size_t i = 0; i < candidates.size(); ++i) {
-    if (scores[i].ok && scores[i].obj < best_obj) {
+    if (!scores[i].ok) continue;
+    ++best.evaluations;
+    if (scores[i].obj < best_obj) {
       best_obj = scores[i].obj;
       best.partition = partition_from_unit_counts(units, scores[i].unit_counts);
       best.stage_devices = candidates[i].replicas;

@@ -247,8 +247,12 @@ void apply_perturbs(costmodel::ModelConfig& config,
                                   std::to_string(config.num_blocks()) +
                                   " blocks)");
     }
-    config.blocks[static_cast<std::size_t>(p.block)].fwd_ms *= p.fwd;
-    config.blocks[static_cast<std::size_t>(p.block)].bwd_ms *= p.bwd;
+    costmodel::Block& b = config.blocks[static_cast<std::size_t>(p.block)];
+    b.fwd_ms *= p.fwd;
+    b.bwd_ms *= p.bwd;
+    // Keep the B/W split consistent, as the analytic model builds it.
+    b.bwd_weight_ms *= p.bwd;
+    b.bwd_input_ms = b.bwd_ms - b.bwd_weight_ms;
   }
 }
 

@@ -8,9 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <vector>
 
+#include "model/gelu_kernels.h"
 #include "model/ops.h"
 #include "util/rng.h"
 
@@ -187,6 +192,79 @@ TEST_P(OpsGoldenThreads, CrossEntropyBitIdenticalIncludingLossSum) {
   }
 }
 
+float from_bits(std::uint32_t u) { return std::bit_cast<float>(u); }
+
+/// Smallest positive float v whose GELU tanh argument
+/// kGeluC * (v + kGeluCubic * v^3) reaches u (positive floats order like
+/// their bit patterns, and the argument is monotone in v).
+float gelu_input_reaching(float u) {
+  std::uint32_t lo = 0, hi = 0x7f800000u;
+  while (lo < hi) {
+    const std::uint32_t mid = lo + (hi - lo) / 2;
+    const float v = from_bits(mid);
+    const float arg =
+        kernels::kGeluC * (v + kernels::kGeluCubic * v * v * v);
+    if (arg >= u) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  return from_bits(lo);
+}
+
+/// Inputs at the edges of every fdlibm_tanhf branch: signed zeros, the
+/// smallest denormals, +-1 ulp around the |u| = 2^-55, 1 and 22 thresholds
+/// (both as tanh arguments and as GELU inputs that reach them),
+/// infinities, and quiet and signalling NaNs with payloads.
+std::vector<float> tanh_edge_inputs() {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  std::vector<float> xs = {0.0f,
+                           -0.0f,
+                           from_bits(0x00000001u),
+                           from_bits(0x80000001u),
+                           kInf,
+                           -kInf,
+                           from_bits(0x7fc12345u),   // quiet NaN
+                           from_bits(0xffc00001u),   // quiet NaN, sign set
+                           from_bits(0x7f812345u),   // signalling NaN
+                           from_bits(0xff800001u)};  // signalling, sign set
+  for (const float threshold : {0x1p-55f, 1.0f, 22.0f}) {
+    for (const float v : {threshold, gelu_input_reaching(threshold)}) {
+      for (const float signed_v : {v, -v}) {
+        xs.push_back(std::nextafter(signed_v, -kInf));
+        xs.push_back(signed_v);
+        xs.push_back(std::nextafter(signed_v, kInf));
+      }
+    }
+  }
+  return xs;
+}
+
+TEST_P(OpsGoldenThreads, GeluBitIdenticalOnEdgeInputsAndRemainderLanes) {
+  // The fast gelu/gelu_backward run the AVX2 lanes where the CPU has them;
+  // ref:: runs the scalar fdlibm_tanhf copy. Lengths around the 8-lane
+  // width put every edge input in a remainder lane; the last tensor of
+  // each length holds nothing but edge inputs.
+  util::Rng rng(13 + GetParam());
+  const std::vector<float> edges = tanh_edge_inputs();
+  for (const int n : {1, 7, 8, 9, 257}) {
+    for (std::size_t e = 0; e <= edges.size(); ++e) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " edge " << e);
+      Tensor x = randn({n}, rng);
+      const Tensor dy = randn({n}, rng);
+      if (e < edges.size()) {
+        x.data()[n - 1] = edges[e];
+      } else {
+        for (int i = 0; i < n; ++i) x.data()[i] = edges[i % edges.size()];
+      }
+      expect_bits(gelu(x), ref::gelu(x), "gelu");
+      expect_bits(gelu_backward(x, dy), ref::gelu_backward(x, dy),
+                  "gelu_backward");
+    }
+  }
+}
+
 // 1 = inline, 2 = smallest real fan-out, 0 = auto (hardware concurrency).
 // Bit-identity must hold for every choice because panels are fixed-size
 // and never derived from the worker count.
@@ -201,6 +279,38 @@ TEST(OpsGolden, DisablingFastOpsRoutesThroughReference) {
   set_fast_ops(true);
   expect_bits(off, ref::matmul(a, b), "matmul with fast ops off");
   EXPECT_TRUE(fast_ops_enabled());
+}
+
+TEST(OpsGolden, Avx2TanhMatchesScalarCopyOnSampledBitPatterns) {
+  // Every 251st bit pattern (a prime stride, so the samples cover every
+  // exponent with varied mantissas) plus the branch-edge inputs. All 2^32
+  // patterns: tests/tanhf_exhaustive_test.cpp (ctest -L exhaustive).
+  if (!kernels::avx2_supported()) GTEST_SKIP() << "CPU has no AVX2";
+  auto check = [](const std::vector<float>& x) {
+    std::vector<float> y(x.size());
+    kernels::avx2_tanh(x.data(), y.data(), static_cast<int>(x.size()));
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      const float want = kernels::fdlibm_tanhf(x[i]);
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(y[i]),
+                std::bit_cast<std::uint32_t>(want))
+          << "input bits 0x" << std::hex
+          << std::bit_cast<std::uint32_t>(x[i]);
+    }
+  };
+  check(tanh_edge_inputs());
+  // Blocks of an odd length, so every block ends in a remainder lane.
+  constexpr std::size_t kBlock = 4093;
+  std::vector<float> x;
+  x.reserve(kBlock);
+  for (std::uint64_t u = 0; u <= 0xffffffffu; u += 251) {
+    x.push_back(from_bits(static_cast<std::uint32_t>(u)));
+    if (x.size() == kBlock) {
+      check(x);
+      if (HasFatalFailure()) return;
+      x.clear();
+    }
+  }
+  check(x);
 }
 
 TEST(OpsGolden, EmbeddingOpsAreSingleImplementation) {

@@ -83,27 +83,18 @@ TEST(PaperClaims, TableTwoSchemeOrderingUnderSimulator) {
 TEST(PaperClaims, FigTwelveSearchTimeOrdering) {
   // Fig. 12: AutoPipe searches orders of magnitude faster than Piper, and
   // Piper no slower than DAPPLE (whose placement dimension is the largest
-  // space). Wall-clock ordering with best-of-k minima to shrug off
-  // scheduler noise; all planners serial so the comparison is apples to
-  // apples.
+  // space). Asserted on the deterministic search effort -- objective or
+  // simulator evaluations -- so the ordering cannot flake under load; the
+  // wall-clock times are bench_fig12_search_time's.
   const auto cfg = costmodel::build_model_config(costmodel::gpt2_345m(),
                                                  {8, 0, true});
   const int gpus = 16;
-  auto best_of = [](int k, auto&& run) {
-    double best = run();
-    for (int i = 1; i < k; ++i) best = std::min(best, run());
-    return best;
-  };
-  const double dapple = best_of(2, [&] {
-    return planners::dapple_plan(cfg, gpus, {8, 4, 512}).planning_ms;
-  });
-  const double piper = best_of(2, [&] {
-    return planners::piper_plan(cfg, gpus, {8, 512}).planning_ms;
-  });
-  const double autopipe = best_of(3, [&] {
-    return core::auto_plan(cfg, {gpus, 512, 0, true}).plan.planning_ms;
-  });
+  const int dapple = planners::dapple_plan(cfg, gpus, {8, 4, 512}).evaluations;
+  const int piper = planners::piper_plan(cfg, gpus, {8, 512}).evaluations;
+  const int autopipe =
+      core::auto_plan(cfg, {gpus, 512, 0, true}).plan.evaluations;
 
+  EXPECT_GT(autopipe, 0);
   EXPECT_LT(autopipe * 10, piper)
       << "paper: AutoPipe plans >= 10x faster than Piper";
   EXPECT_LT(piper, dapple)

@@ -108,6 +108,31 @@ ServiceOptions small_service() {
   return opts;
 }
 
+TEST(ServiceProtocol, PerturbsKeepBackwardSplitInvariant) {
+  // A perturbed block's B/W split is rebuilt the way the analytic model
+  // builds it: the grad-weight pass scales with the bwd factor and the
+  // grad-input pass is the remainder, so zero-bubble costs stay in step
+  // with bwd_ms on every drifted request.
+  const ParsedLine parsed =
+      parse_line("plan model=gpt2-345m perturb=0:1.5:2,3:0.9:0.7,5:1:1.3");
+  ASSERT_TRUE(parsed.error.empty()) << parsed.error;
+  const PlanRequest& req = parsed.request;
+  const costmodel::ModelConfig base = costmodel::build_model_config(
+      request_spec(req), {req.micro_batch, req.seq_len, req.recompute});
+  const costmodel::ModelConfig got = request_config(req);
+  ASSERT_EQ(got.num_blocks(), base.num_blocks());
+  for (int i = 0; i < got.num_blocks(); ++i) {
+    const costmodel::Block& b = got.blocks[static_cast<std::size_t>(i)];
+    EXPECT_EQ(b.bwd_input_ms, b.bwd_ms - b.bwd_weight_ms) << "block " << i;
+  }
+  for (const BlockPerturb& p : req.perturbs) {
+    const auto i = static_cast<std::size_t>(p.block);
+    EXPECT_EQ(got.blocks[i].bwd_ms, base.blocks[i].bwd_ms * p.bwd);
+    EXPECT_EQ(got.blocks[i].bwd_weight_ms,
+              base.blocks[i].bwd_weight_ms * p.bwd);
+  }
+}
+
 TEST(Service, ServedMatchesOfflineByteForByte) {
   // The determinism contract: a daemon's canonical response equals the
   // fresh-process offline replay of the same request, byte for byte.
