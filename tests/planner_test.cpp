@@ -152,6 +152,13 @@ struct PlanCase {
   int depth;
 };
 
+// gtest_discover_tests names each case after its printed parameter. The
+// default byte dump holds the name pointer and padding, so the ctest names
+// would change with every build; print the fields instead.
+void PrintTo(const PlanCase& c, std::ostream* os) {
+  *os << c.model << " depth " << c.depth;
+}
+
 class PlannerZooTest : public testing::TestWithParam<PlanCase> {};
 
 TEST_P(PlannerZooTest, ProducesBalancedValidSchemes) {
