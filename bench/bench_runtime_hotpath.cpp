@@ -12,9 +12,16 @@
 // end-to-end rows time whole training iterations with set_fast_ops(false)
 // vs (true) on the same model and data.
 //
-// --assert-speedup S exits non-zero unless the end-to-end fast path is at
-// least S times the naive throughput; CI runs a tiny config with S=1.0 as
-// a smoke check, EXPERIMENTS.md records the >= 3x protocol.
+// GEMM rows also report absolute GFLOP/s (2mkn / time) for both paths: at
+// the trainer's shapes with --threads workers, and at train-deep's shapes
+// (64 tokens, hidden 64) on one thread.
+//
+// --assert-speedup S exits non-zero unless the end-to-end fast path, and
+// every GEMM row's fast kernel, is at least S times the naive throughput;
+// CI runs a tiny config with S=1.0 as a smoke check, EXPERIMENTS.md records
+// the >= 3x protocol.
+#include <algorithm>
+#include <array>
 #include <cstdio>
 #include <functional>
 #include <vector>
@@ -68,6 +75,33 @@ std::pair<double, double> naive_vs_fast(int reps,
   return {naive, fast};
 }
 
+/// Times the three GEMMs of one m x k x n linear layer (matmul, and both
+/// of its gradients) at the current ops thread count, one row each with
+/// absolute GFLOP/s. Returns the lowest fast/naive speedup of the three.
+double gemm_rows(int m, int k, int n, int reps, util::Rng& rng) {
+  const model::Tensor x = model::Tensor::randn({m, k}, rng, 0.02f);
+  const model::Tensor w = model::Tensor::randn({k, n}, rng, 0.02f);
+  const model::Tensor dy = model::Tensor::randn({m, n}, rng, 0.02f);
+  const std::pair<const char*, std::function<void()>> ops[] = {
+      {"matmul", [&] { model::matmul(x, w); }},
+      {"matmul_grad_a", [&] { model::matmul_grad_a(dy, w); }},
+      {"matmul_grad_b", [&] { model::matmul_grad_b(x, dy); }},
+  };
+  const double gflop = 2.0 * m * k * n * 1e-9;
+  double worst = 1e300;
+  for (const auto& [op, fn] : ops) {
+    const auto [naive, fast] = naive_vs_fast(reps, fn);
+    std::printf(
+        "{\"bench\":\"runtime_hotpath\",\"op\":\"%s\",\"shape\":\"%dx%dx%d\","
+        "\"threads\":%d,\"naive_ms\":%.4f,\"fast_ms\":%.4f,\"speedup\":%.2f,"
+        "\"naive_gflops\":%.2f,\"gflops\":%.2f}\n",
+        op, m, k, n, model::ops_threads(), naive, fast, naive / fast,
+        gflop / (naive * 1e-3), gflop / (fast * 1e-3));
+    worst = std::min(worst, naive / fast);
+  }
+  return worst;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -85,7 +119,8 @@ int main(int argc, char** argv) {
   const int B = cli.checked_int("micro-batch", 4, 1, 64);
   const double assert_speedup =
       cli.checked_double("assert-speedup", 0.0, 0.0, 100.0);
-  model::set_ops_threads(cli.checked_int("threads", 0, 0, 256));
+  const int threads = cli.checked_int("threads", 0, 0, 256);
+  model::set_ops_threads(threads);
 
   bench::emit_metadata("runtime_hotpath");
 
@@ -95,6 +130,17 @@ int main(int argc, char** argv) {
   const int tokens = B * spec.seq;
   util::Rng rng(42);
   char shape[64];
+  double gemm_speedup = gemm_rows(tokens, spec.hidden, 4 * spec.hidden, reps,
+                                  rng);
+  // train-deep's three linear shapes (FFN up, FFN down, fused QKV) on the
+  // one ops thread it runs with.
+  model::set_ops_threads(1);
+  for (const auto& [mm, kk, nn] :
+       {std::array{64, 64, 256}, std::array{64, 256, 64},
+        std::array{64, 64, 192}}) {
+    gemm_speedup = std::min(gemm_speedup, gemm_rows(mm, kk, nn, reps, rng));
+  }
+  model::set_ops_threads(threads);
   {
     const model::Tensor x =
         model::Tensor::randn({tokens, spec.hidden}, rng, 0.02f);
@@ -104,13 +150,6 @@ int main(int argc, char** argv) {
         model::Tensor::randn({tokens, 4 * spec.hidden}, rng, 0.02f);
     std::snprintf(shape, sizeof(shape), "%dx%dx%d", tokens, spec.hidden,
                   4 * spec.hidden);
-    auto [n0, f0] = naive_vs_fast(reps, [&] { model::matmul(x, w); });
-    emit_row("matmul", shape, n0, f0);
-    auto [n1, f1] = naive_vs_fast(reps, [&] { model::matmul_grad_a(dy, w); });
-    emit_row("matmul_grad_a", shape, n1, f1);
-    auto [n2, f2] = naive_vs_fast(reps, [&] { model::matmul_grad_b(x, dy); });
-    emit_row("matmul_grad_b", shape, n2, f2);
-
     const model::Tensor bias = model::Tensor::randn({4 * spec.hidden}, rng);
     auto [n3, f3] =
         naive_vs_fast(reps, [&] { model::linear(x, w, bias); });
@@ -210,6 +249,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "FAIL: end-to-end speedup %.2fx below required %.2fx\n",
                  speedup, assert_speedup);
+    return 1;
+  }
+  if (assert_speedup > 0 && gemm_speedup < assert_speedup) {
+    std::fprintf(stderr,
+                 "FAIL: slowest GEMM row's speedup %.2fx below required "
+                 "%.2fx\n",
+                 gemm_speedup, assert_speedup);
     return 1;
   }
   return 0;

@@ -153,13 +153,15 @@ void deserialize_stage(std::string_view payload, TrainState& state,
 
 // ----------------------------------------------------------- record frames
 
-std::string frame_record(std::string_view payload) {
+/// Frames a payload whose CRC32 the caller has already computed (the
+/// manifest lists the same value, so it is computed once).
+std::string frame_record(std::string_view payload, std::uint32_t crc) {
   ByteWriter w;
   w.raw(kRecordMagic, 4);
   w.u32(static_cast<std::uint32_t>(kCheckpointVersion));
   w.u64(payload.size());
   w.raw(payload.data(), payload.size());
-  w.u32(util::crc32(payload));
+  w.u32(crc);
   return w.out;
 }
 
@@ -367,10 +369,11 @@ std::string CheckpointWriter::write(const TrainState& state,
   int first = 0;
   for (int s = 0; s < stages; ++s) {
     const std::string payload = serialize_stage(state, first, state.counts[s]);
-    const std::string framed = frame_record(payload);
+    const std::uint32_t crc = util::crc32(payload);
+    const std::string framed = frame_record(payload, crc);
     storage_.write_file(step_dir + "/" + record_name(s), framed);
     manifest << "record " << record_name(s) << " bytes=" << framed.size()
-             << " crc32=" << util::crc32_hex(util::crc32(payload)) << "\n";
+             << " crc32=" << util::crc32_hex(crc) << "\n";
     first += state.counts[s];
   }
 

@@ -1,11 +1,11 @@
-// AVX2 lane versions of fdlibm_tanhf and GELU (see gelu_kernels.h).
+// AVX2 lane versions of fdlibm_tanhf and GELU (see kernels.h).
 //
 // Built with -mavx2 -ffp-contract=off. Each lane computes every case of
 // the scalar code with the same IEEE operations, and masks pick the lane's
 // result, so the lanes equal fdlibm_tanhf bit for bit. Only the intrinsics
 // header is included: a shared inline function instantiated here would be
 // AVX2 code that the linker could hand to callers on any CPU.
-#include "model/gelu_kernels.h"
+#include "model/kernels.h"
 
 #if defined(__AVX2__)
 

@@ -10,10 +10,13 @@
 //  - model::ref:: -- the retained naive reference: plain loops, one
 //    accumulator per output element, summation in index order. This is the
 //    semantic ground truth of the op-level golden tests.
-//  - the default fast path -- cache-blocked, ILP-unrolled kernels that fan
-//    row panels out over a shared thread pool. The kernels perform, for
-//    every output element, the *same additions in the same order* as the
-//    reference (panels only re-tile the iteration space, and each output
+//  - the default fast path -- register-tiled, lane-vectorised kernels that
+//    fan row panels out over a shared thread pool. The three GEMMs share
+//    one strided tile (model/kernels.h; AVX2 when the CPU has it, picked
+//    once per process), matmul_grad_a by packing B^T on every call. The
+//    kernels perform, for every output element, the *same additions in the
+//    same order* as the reference (one lane holds one element's
+//    accumulator, panels only re-tile the iteration space, and each output
 //    element is owned by exactly one task), so results are bit-identical
 //    to ref:: at every thread count. tests/ops_golden_test.cpp enforces
 //    this for every primitive, including ragged panel-edge shapes.
@@ -76,7 +79,7 @@ Tensor linear_backward_input(const Tensor& w, const Tensor& dy);
 LinearWeightGrads linear_backward_weight(const Tensor& x, const Tensor& dy);
 
 /// GELU, tanh approximation (as GPT-2 uses). tanh is the library's own
-/// copy of glibc 2.36's fdlibm tanhf (model/gelu_kernels.h), so results do
+/// copy of glibc 2.36's fdlibm tanhf (model/kernels.h), so results do
 /// not depend on the host libm. The fast path runs 8-lane AVX2 kernels from
 /// a separately compiled translation unit when the CPU has AVX2 (checked
 /// once per process) and the scalar copy otherwise; both are bit-identical

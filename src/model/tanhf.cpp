@@ -5,7 +5,7 @@
 #include <cmath>
 #include <cstdint>
 
-#include "model/gelu_kernels.h"
+#include "model/kernels.h"
 
 namespace autopipe::model::kernels {
 

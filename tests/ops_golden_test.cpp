@@ -15,7 +15,7 @@
 #include <limits>
 #include <vector>
 
-#include "model/gelu_kernels.h"
+#include "model/kernels.h"
 #include "model/ops.h"
 #include "util/rng.h"
 
@@ -41,14 +41,18 @@ Tensor randn(std::vector<int> shape, util::Rng& rng) {
   return Tensor::randn(std::move(shape), rng, 0.5f);
 }
 
-/// (m, k, n) GEMM shapes straddling the panel (32) and tile (4x8) edges:
-/// exact multiples, one-off raggedness in every dimension, and degenerate
-/// single-row/column cases.
+/// (m, k, n) GEMM shapes straddling the panel (32), tile (4 rows; 16- and
+/// 8-column steps) and b^T pack block (32) edges: exact multiples, one-off
+/// raggedness in every dimension, and degenerate single-row/column cases.
+/// matmul and matmul_grad_b tile n columns, matmul_grad_a tiles k.
 const std::vector<std::array<int, 3>>& gemm_shapes() {
   static const std::vector<std::array<int, 3>> shapes = {
       {1, 1, 1},    {3, 5, 7},     {32, 32, 32}, {33, 17, 41},
       {31, 8, 9},   {64, 63, 65},  {7, 129, 5},  {65, 24, 16},
-      {2, 16, 130}, {40, 128, 96},
+      {2, 16, 130}, {40, 128, 96}, {1, 15, 16},  {3, 16, 17},
+      {5, 17, 15},  {1, 23, 24},   {3, 24, 25},  {5, 25, 23},
+      {1, 31, 33},  {3, 33, 31},   {5, 1, 16},   {3, 1, 33},
+      {1, 1, 25},   {37, 33, 23},
   };
   return shapes;
 }
@@ -312,6 +316,46 @@ TEST(OpsGolden, Avx2TanhMatchesScalarCopyOnSampledBitPatterns) {
   }
   check(x);
 }
+
+// Both GEMM tiles, called directly: dispatch runs only one of them on any
+// given CPU, so on AVX2 hosts the public ops never reach the baseline.
+using GemmTile = void (*)(const kernels::StridedGemm&, int, int);
+
+class GemmTileGolden : public testing::TestWithParam<bool> {};
+
+TEST_P(GemmTileGolden, AllThreeProductsBitIdenticalToReference) {
+  const bool avx2 = GetParam();
+  if (avx2 && !kernels::avx2_supported()) GTEST_SKIP() << "CPU has no AVX2";
+  const GemmTile tile = avx2 ? kernels::avx2_gemm_tile : kernels::gemm_tile;
+  util::Rng rng(29);
+  for (const auto& [m, k, n] : gemm_shapes()) {
+    SCOPED_TRACE(testing::Message() << m << "x" << k << "x" << n);
+    const Tensor a = randn({m, k}, rng);
+    const Tensor b = randn({k, n}, rng);
+    const Tensor dc = randn({m, n}, rng);
+
+    Tensor c({m, n});
+    tile({a.data(), k, 1, b.data(), c.data(), k, n}, 0, m);
+    expect_bits(c, ref::matmul(a, b), "matmul");
+
+    Tensor bt({n, k});
+    for (int l = 0; l < k; ++l) {
+      for (int j = 0; j < n; ++j) bt.at(j * k + l) = b.at(l * n + j);
+    }
+    Tensor da({m, k});
+    tile({dc.data(), n, 1, bt.data(), da.data(), n, k}, 0, m);
+    expect_bits(da, ref::matmul_grad_a(dc, b), "matmul_grad_a");
+
+    Tensor db({k, n});
+    tile({a.data(), 1, k, dc.data(), db.data(), m, n}, 0, k);
+    expect_bits(db, ref::matmul_grad_b(a, dc), "matmul_grad_b");
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Tiles, GemmTileGolden, testing::Values(false, true),
+                         [](const testing::TestParamInfo<bool>& info) {
+                           return info.param ? "avx2" : "baseline";
+                         });
 
 TEST(OpsGolden, EmbeddingOpsAreSingleImplementation) {
   // embedding_lookup/backward have one implementation (gather/scatter has

@@ -1,4 +1,4 @@
-// Exhaustive check of the owned tanhf (model/gelu_kernels.h): the AVX2
+// Exhaustive check of the owned tanhf (model/kernels.h): the AVX2
 // lanes must equal the scalar fdlibm_tanhf copy on all 2^32 float bit
 // patterns, NaN payloads included. The test also prints how many patterns
 // the scalar copy and the host libm's std::tanh disagree on. It does not
@@ -16,7 +16,7 @@
 #include <thread>
 #include <vector>
 
-#include "model/gelu_kernels.h"
+#include "model/kernels.h"
 
 namespace autopipe::model {
 namespace {
