@@ -219,6 +219,35 @@ TEST(SupervisorWatchdog, FiresOnSilenceAndBlamesTheStarvedSchedule) {
   EXPECT_NE(token.reason().find("watchdog"), std::string::npos);
 }
 
+TEST(SupervisorWatchdog, StarvedPeerPastItsDeadlineWaitsForTheCulprit) {
+  // Device 1 is silent from the start (starved); device 0 owes the
+  // earliest op, so it is blamed, but it keeps beating. The watchdog must
+  // not fire on device 1's silence alone: the verdict would name device 0
+  // silent for less than its deadline. It fires once device 0 goes quiet.
+  runtime::HealthBoard board(2);
+  board.reset(2);
+  runtime::CancelToken token;
+  WatchdogOptions w;
+  w.grace_ms = 100;
+  w.poll_ms = 2;
+  Watchdog dog(board, token, {0.0, 0.0}, w, {{5.0, 9.0}, {20.0, 30.0}});
+  dog.arm();
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(250);
+  while (std::chrono::steady_clock::now() < until) {
+    board.beat(0, 0);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_FALSE(token.cancelled()) << token.reason();
+  EXPECT_TRUE(token.wait_for_ms(5000));
+  const WatchdogVerdict verdict = dog.disarm();
+  ASSERT_TRUE(verdict.fired);
+  EXPECT_EQ(verdict.device, 0);
+  EXPECT_DOUBLE_EQ(verdict.deadline_ms, 100.0);
+  EXPECT_GT(verdict.silent_ms, verdict.deadline_ms);
+  EXPECT_GE(verdict.detection_ms, 250.0);
+}
+
 TEST(SupervisorWatchdog, DoneDevicesAreNeverBlamed) {
   runtime::HealthBoard board(2);
   board.reset(2);
