@@ -8,8 +8,10 @@
 // surviving devices.
 #pragma once
 
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace autopipe::runtime {
 
@@ -46,5 +48,26 @@ class StageFailure : public std::runtime_error {
   FailureKind kind_;
   int device_;
 };
+
+/// The *origin* of one iteration's failures, not the echoes it caused in
+/// the other workers: kinds[d] is device d's failure (nullopt when it did
+/// not fail). A poisoned channel echoes as PeerClosed, and the cancelled
+/// token as Timeout in a worker that was between ops, so definite kinds
+/// (crash/transient/corruption) outrank Timeout, which outranks
+/// PeerClosed; ties break toward the lower device id. -1 when none failed.
+inline int origin_device(
+    const std::vector<std::optional<FailureKind>>& kinds) {
+  const auto rank = [](FailureKind kind) {
+    return kind == FailureKind::PeerClosed ? 0
+           : kind == FailureKind::Timeout  ? 1
+                                           : 2;
+  };
+  int origin = -1;
+  for (int d = 0; d < static_cast<int>(kinds.size()); ++d) {
+    if (!kinds[d]) continue;
+    if (origin < 0 || rank(*kinds[d]) > rank(*kinds[origin])) origin = d;
+  }
+  return origin;
+}
 
 }  // namespace autopipe::runtime

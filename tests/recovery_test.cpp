@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <optional>
 
 #include "core/replan.h"
 #include "faults/fault_plan.h"
@@ -96,6 +97,23 @@ TEST(Recovery, CrashSurfacesAsTypedFailureWithOriginDevice) {
     EXPECT_EQ(e.kind(), FailureKind::Crash);
     EXPECT_EQ(e.device(), 2);
   }
+}
+
+TEST(Recovery, OriginFailureOutranksTheEchoesItCauses) {
+  using K = FailureKind;
+  EXPECT_EQ(origin_device({}), -1);
+  EXPECT_EQ(origin_device({std::nullopt, std::nullopt}), -1);
+  // A crash on device 2 poisons the channels and cancels the token: device
+  // 1, blocked in a recv, echoes PeerClosed; device 0, between ops, sees
+  // the token first and echoes Timeout. The crash is still the origin.
+  EXPECT_EQ(origin_device({K::Timeout, K::PeerClosed, K::Crash}), 2);
+  EXPECT_EQ(origin_device({K::Timeout, K::Corruption}), 1);
+  EXPECT_EQ(origin_device({K::PeerClosed, K::Transient}), 1);
+  // A real hang: the watchdog's Timeout outranks the PeerClosed echoes.
+  EXPECT_EQ(origin_device({K::PeerClosed, K::Timeout, std::nullopt}), 1);
+  // Equal ranks break toward the lower device id.
+  EXPECT_EQ(origin_device({std::nullopt, K::Crash, K::Transient}), 1);
+  EXPECT_EQ(origin_device({K::PeerClosed, K::PeerClosed}), 0);
 }
 
 TEST(Recovery, TransientWithinBudgetIsAbsorbedInPlace) {
