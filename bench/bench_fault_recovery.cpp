@@ -6,33 +6,21 @@
 //     schedule on the discrete-event executor under a distribution that
 //     injects only that kind; p50/p95/p99 are iteration-time percentiles
 //     over the trials and recovery_ms is 0 (nothing fails permanently).
-//   transient / crash -- the thread runtime trains the tiny transformer
-//     under an injected fault, recovering through
-//     runtime::run_iteration_with_recovery; the run repeats `--repeats`
-//     times per seed, p50/p95/p99 are recovery-time percentiles over the
-//     repeats, and recovery_ms is their median. Gradients are checked
-//     against the single-process reference every repeat -- a mismatch turns
-//     the line into {"error": ...} and the exit code nonzero.
 //
-// Flags: --trials N (sim Monte-Carlo trials, default 200), --repeats N
-// (runtime repeats per seed, default 5), --seeds N (default 5), --quiet.
-#include <chrono>
+// Runtime incidents (transient escalation, crash) recover through the
+// supervisor; bench_supervisor_mttr measures them.
+//
+// Flags: --trials N (sim Monte-Carlo trials, default 200), --seeds N
+// (default 5), --quiet.
 #include <cstdio>
 #include <exception>
-#include <string>
-#include <vector>
 
 #include "common.h"
 #include "core/autopipe.h"
 #include "core/planner.h"
 #include "core/schedule.h"
-#include "faults/fault_plan.h"
 #include "faults/robustness.h"
-#include "model/data.h"
-#include "model/transformer.h"
-#include "runtime/recovery.h"
 #include "util/cli.h"
-#include "util/stats.h"
 
 namespace {
 
@@ -48,101 +36,6 @@ void emit_sim_line(const char* kind, std::uint64_t seed,
       r.p50_ms, r.p95_ms, r.p99_ms, r.worst_ms, r.link_retries);
 }
 
-struct RuntimeSetup {
-  model::TinySpec spec;
-  costmodel::ModelConfig config;
-  std::vector<model::Batch> micro;
-  model::Batch whole;
-  double scale = 0;
-
-  RuntimeSetup() {
-    spec.layers = 3;  // 8 blocks, enough to degrade 3 -> 2 stages
-    spec.hidden = 16;
-    spec.heads = 2;
-    spec.vocab = 32;
-    spec.seq = 4;
-    costmodel::ModelSpec ms;
-    ms.name = "tiny";
-    ms.num_layers = spec.layers;
-    ms.hidden = spec.hidden;
-    ms.heads = spec.heads;
-    ms.vocab = spec.vocab;
-    ms.default_seq = spec.seq;
-    ms.causal = spec.causal;
-    config = costmodel::build_model_config(ms, {4, 0, true});
-    model::SyntheticCorpus corpus(spec.vocab);
-    const int B = 4, m = 6;
-    whole = corpus.next_batch(B * m, spec.seq);
-    micro = model::SyntheticCorpus::split_micro_batches(whole, spec.seq, B);
-    scale = 1.0 / (B * m * spec.seq);
-  }
-};
-
-/// One recovery run; returns recovery wall time in ms, throws on gradient
-/// divergence from the single-process reference.
-double run_recovery_once(const RuntimeSetup& setup,
-                         const faults::FaultPlan& plan) {
-  model::TransformerModel ref(setup.spec), piped(setup.spec);
-  ref.zero_grads();
-  ref.reference_step(setup.whole.ids, setup.whole.targets, setup.scale);
-  piped.zero_grads();
-
-  runtime::RecoveryOptions rec;
-  rec.run.faults = &plan;
-  rec.plan = {3, 24, 0, false, 1};
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto report = runtime::run_iteration_with_recovery(
-      piped, setup.config, {2, 3, 3}, setup.micro, setup.scale, rec);
-  const double total_ms = std::chrono::duration<double, std::milli>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count();
-  if (ref.max_grad_diff(piped) > 1e-4) {
-    throw std::runtime_error("recovered gradients diverged from reference");
-  }
-  // In-place transient absorption never enters the recovery loop; charge
-  // the whole (re)execution then.
-  return report.recovered ? report.recovery_ms : total_ms;
-}
-
-int emit_runtime_lines(const char* kind, const RuntimeSetup& setup,
-                       int seeds, int repeats) {
-  int failures = 0;
-  for (int s = 0; s < seeds; ++s) {
-    faults::FaultPlan plan;
-    if (std::string(kind) == "crash") {
-      faults::DeviceCrash crash;
-      crash.device = s % 3;
-      crash.after_ops = 2 + s;  // vary where in the iteration it dies
-      plan.crashes.push_back(crash);
-    } else {
-      faults::TransientOpFault t;
-      t.device = s % 3;
-      t.op_index = 1 + s;
-      t.failures = 5;  // beyond the in-place budget -> escalates
-      plan.transients.push_back(t);
-    }
-    try {
-      std::vector<double> samples;
-      for (int r = 0; r < repeats; ++r) {
-        samples.push_back(run_recovery_once(setup, plan));
-      }
-      std::printf(
-          "{\"kind\":\"%s\",\"seed\":%d,\"trials\":%d,\"nominal_ms\":0.0,"
-          "\"recovery_ms\":%.3f,\"p50_ms\":%.3f,\"p95_ms\":%.3f,"
-          "\"p99_ms\":%.3f,\"worst_ms\":%.3f,\"link_retries\":0}\n",
-          kind, s, repeats, util::percentile(samples, 50.0),
-          util::percentile(samples, 50.0), util::percentile(samples, 95.0),
-          util::percentile(samples, 99.0),
-          util::percentile(samples, 100.0));
-    } catch (const std::exception& e) {
-      std::printf("{\"kind\":\"%s\",\"seed\":%d,\"error\":\"%s\"}\n", kind, s,
-                  e.what());
-      ++failures;
-    }
-  }
-  return failures;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) try {
@@ -150,7 +43,6 @@ int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
   bench::emit_metadata("fault_recovery");
   const int trials = cli.checked_int("trials", 200, 1, 1 << 20);
-  const int repeats = cli.checked_int("repeats", 5, 1, 1 << 12);
   const int seeds = cli.checked_int("seeds", 5, 1, 1 << 12);
 
   // Sim substrate: a planned 4-stage GPT-2 345M pipeline, m = 16.
@@ -189,12 +81,7 @@ int main(int argc, char** argv) try {
     }
   }
 
-  // Runtime substrate: transient escalation and device crash + replan.
-  const RuntimeSetup setup;
-  int failures = 0;
-  failures += emit_runtime_lines("transient", setup, seeds, repeats);
-  failures += emit_runtime_lines("crash", setup, seeds, repeats);
-  return failures == 0 ? 0 : 1;
+  return 0;
 } catch (const std::exception& e) {
   std::fprintf(stderr, "error: %s\n", e.what());
   return 1;

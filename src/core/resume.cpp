@@ -1,11 +1,35 @@
 #include "core/resume.h"
 
+#include <algorithm>
 #include <chrono>
 #include <numeric>
+#include <stdexcept>
 
 #include "util/logging.h"
 
 namespace autopipe::core {
+
+std::vector<int> resume_partition(const ModelConfig& config,
+                                  AutoPipeOptions plan, int num_gpus,
+                                  const std::vector<int>& preferred) {
+  if (num_gpus < 1) {
+    throw std::invalid_argument("resume_partition: need at least one device");
+  }
+  if (!preferred.empty()) {
+    const bool shaped =
+        static_cast<int>(preferred.size()) == num_gpus &&
+        std::accumulate(preferred.begin(), preferred.end(), 0) ==
+            config.num_blocks() &&
+        std::all_of(preferred.begin(), preferred.end(),
+                    [](int c) { return c >= 1; });
+    if (shaped) return preferred;
+    AP_LOG(warn) << "resume_partition: preferred partition is ill-formed for "
+                 << num_gpus << " device(s); planning locally";
+  }
+  plan.num_gpus = num_gpus;
+  plan.forced_stages = num_gpus;  // pipeline-only: depth = cluster size
+  return auto_plan(config, plan).plan.partition.counts;
+}
 
 ResumeResult resume_from_checkpoint(const ModelConfig& config,
                                     ckpt::Storage& storage,
@@ -39,17 +63,12 @@ ResumeResult resume_from_checkpoint(const ModelConfig& config,
     return result;
   }
 
-  // Elastic path: re-plan for the new device count, pipeline-only (forced
-  // depth = cluster size), mirroring the crash-recovery replan policy.
-  AutoPipeOptions plan_opts = options.plan;
-  plan_opts.num_gpus = target;
-  plan_opts.forced_stages = target;
+  // Elastic path: re-plan for the new device count.
   const auto t0 = std::chrono::steady_clock::now();
-  const AutoPipeResult planned = auto_plan(config, plan_opts);
+  result.counts = resume_partition(config, options.plan, target);
   result.replan_ms = std::chrono::duration<double, std::milli>(
                          std::chrono::steady_clock::now() - t0)
                          .count();
-  result.counts = planned.plan.partition.counts;
   result.resharded = true;
   AP_LOG(info) << "elastic resume: step " << result.state.step << " from "
                << saved_devices << " -> " << target << " device(s) in "

@@ -9,8 +9,8 @@
 //     the resumed pipeline is shaped exactly like the interrupted one and
 //     the continuation is bit-identical to the uninterrupted run;
 //   different count (N-1 after losing a device, N+1 after adding one) -- the
-//     Planner re-partitions the model for the new count, replan_on_failure
-//     style (pipeline-only: forced depth = device count), and the
+//     Planner re-partitions the model for the new count (resume_partition:
+//     pipeline-only, forced depth = device count), and the
 //     checkpointed per-block state is resharded onto the new stages. Since
 //     checkpoints store state per *block* and stages are just contiguous
 //     block ranges, resharding is a pure re-grouping -- no state is
@@ -47,6 +47,17 @@ struct ResumeResult {
   /// Candidates the reader examined, newest first (restore diagnostics).
   std::vector<ckpt::CandidateReport> candidates;
 };
+
+/// The partition a run continues on over `num_gpus` devices after its
+/// device count changed: `preferred` when it is well-formed (num_gpus
+/// stages of >= 1 block covering config's blocks -- e.g. an external plan
+/// oracle's answer), otherwise the Planner's pipeline-only plan (forced
+/// depth = num_gpus). Elastic resume and the supervisor's degraded replan
+/// both decide here. Throws std::invalid_argument when num_gpus < 1 and
+/// std::runtime_error when no feasible plan fits.
+std::vector<int> resume_partition(const ModelConfig& config,
+                                  AutoPipeOptions plan, int num_gpus,
+                                  const std::vector<int>& preferred = {});
 
 /// Restores from the newest valid checkpoint under `dir`. Throws
 /// ckpt::CkptError (typed: NotFound/Corrupt/Version) when nothing restorable

@@ -162,8 +162,8 @@ struct FaultPlan {
   void validate(int devices, int boundaries) const;
 
   /// Copy with every fault referencing `device` dropped and all other
-  /// device indices above it shifted down -- the surviving-cluster view the
-  /// recovery path re-executes on after a crash. Boundary faults are
+  /// device indices above it shifted down -- the surviving-cluster view of
+  /// the plan after a crash. Boundary faults are
   /// dropped wholesale (the degraded pipeline has different boundaries).
   FaultPlan without_device(int device) const;
 };

@@ -44,15 +44,6 @@ core::Schedule PipelineRuntime::make_schedule(costmodel::ScheduleKind kind,
 IterationResult PipelineRuntime::run_iteration(
     const core::Schedule& schedule,
     const std::vector<model::Batch>& micro_batches, double loss_scale,
-    bool recompute) {
-  RunOptions options;
-  options.recompute = recompute;
-  return run_iteration(schedule, micro_batches, loss_scale, options);
-}
-
-IterationResult PipelineRuntime::run_iteration(
-    const core::Schedule& schedule,
-    const std::vector<model::Batch>& micro_batches, double loss_scale,
     const RunOptions& options) {
   const int devices = num_devices();
   if (schedule.num_stages != devices || schedule.chunks != chunks_) {
@@ -123,21 +114,11 @@ IterationResult PipelineRuntime::run_iteration(
     ctx.micro_batches = &micro_batches;
     ctx.loss_scale = loss_scale;
     ctx.seq_len = model_.spec().seq;
+    ctx.run = &options;
     ctx.forward_channels = &forward_channels;
     ctx.backward_channels = &backward_channels;
-    ctx.recompute = options.recompute;
-    ctx.faults = options.faults;
-    ctx.recv_deadline_ms = options.recv_deadline_ms;
-    ctx.backoff_base_ms = options.backoff_base_ms;
-    ctx.max_transient_retries = options.max_transient_retries;
-    ctx.transient_retries = &retries[d];
-    ctx.health = options.health;
-    ctx.cancel = options.cancel;
-    ctx.cancel_poll_ms = options.cancel_poll_ms;
-    ctx.guard = options.guard;
-    ctx.guard_counters = options.guard_counters;
     ctx.ledger = handoff_guard ? &ledger : nullptr;
-    ctx.sdc = options.sdc;
+    ctx.transient_retries = &retries[d];
     workers.emplace_back([ctx = std::move(ctx), d, &losses, &errors,
                           &error_kinds, &poison_all, health = options.health] {
       try {

@@ -102,20 +102,14 @@ class PipelineRuntime {
   /// Runs one training iteration under `schedule`. Gradients accumulate
   /// into the model (call model.zero_grads() between iterations).
   /// `loss_scale` should be 1 / total mini-batch tokens so micro-batch
-  /// gradients sum to full-batch gradients. `recompute` toggles activation
-  /// checkpointing (§II-C); both modes produce identical gradients.
+  /// gradients sum to full-batch gradients. A worker failure closes every
+  /// channel (so no peer blocks past one scheduling quantum) and rethrows
+  /// as StageFailure; gradients accumulated before the failure are left in
+  /// the model -- TrainSession::step re-zeroes them on the next attempt.
   IterationResult run_iteration(const core::Schedule& schedule,
                                 const std::vector<model::Batch>& micro_batches,
-                                double loss_scale, bool recompute = true);
-
-  /// Fault-aware flavour: same contract, plus the RunOptions knobs. A
-  /// worker failure closes every channel (so no peer blocks past one
-  /// scheduling quantum) and rethrows as StageFailure; gradients
-  /// accumulated before the failure are left in the model -- the recovery
-  /// layer (runtime/recovery.h) snapshots and restores around attempts.
-  IterationResult run_iteration(const core::Schedule& schedule,
-                                const std::vector<model::Batch>& micro_batches,
-                                double loss_scale, const RunOptions& options);
+                                double loss_scale,
+                                const RunOptions& options = {});
 
   /// Builds a neutral schedule (unit durations) of the given kind for this
   /// partition -- durations are irrelevant to the runtime, only op order

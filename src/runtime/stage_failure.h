@@ -2,10 +2,10 @@
 //
 // A StageWorker that dies must not leave its peers blocked in Channel::recv
 // forever (the pre-fault-subsystem behaviour): failures surface as a
-// StageFailure carrying *which* device failed and *why*, so the recovery
-// policy (runtime/recovery.h) can distinguish a transient hiccup worth
-// retrying from a permanent device loss that needs re-planning on the
-// surviving devices.
+// StageFailure carrying *which* device failed and *why*, so the supervisor
+// (supervisor/supervisor.h) can distinguish a transient hiccup worth
+// retrying from a permanent device loss that needs a restore or a replan
+// onto the surviving devices.
 #pragma once
 
 #include <optional>

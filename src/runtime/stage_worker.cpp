@@ -9,6 +9,7 @@
 
 #include "faults/sdc.h"
 #include "guard/guard.h"
+#include "runtime/pipeline_runtime.h"
 #include "runtime/stage_failure.h"
 #include "util/backoff.h"
 
@@ -38,7 +39,7 @@ namespace {
 [[noreturn]] void throw_cancelled(const StageContext& ctx) {
   throw StageFailure(FailureKind::Timeout, ctx.device,
                      "device " + std::to_string(ctx.device) +
-                         " cancelled: " + ctx.cancel->reason());
+                         " cancelled: " + ctx.run->cancel->reason());
 }
 
 /// Fault gate executed before each schedule op: crash, hang, straggler and
@@ -46,13 +47,14 @@ namespace {
 /// needs. A transient fault burns `failures` attempts with exponential
 /// backoff (util::Backoff); within the retry budget the op then executes
 /// normally (the fault was absorbed in place), beyond it the worker
-/// escalates to a typed StageFailure so the iteration-level recovery policy
-/// takes over. A hang makes no progress at all -- it parks on the
-/// iteration's CancelToken (or, lacking one, on the recv deadline) until an
-/// external watchdog aborts the iteration.
+/// escalates to a typed StageFailure so the supervisor's ladder takes over.
+/// A hang makes no progress at all -- it parks on the iteration's
+/// CancelToken (or, lacking one, on the recv deadline) until an external
+/// watchdog aborts the iteration.
 void check_faults_before_op(const StageContext& ctx, int op_index) {
-  if (ctx.cancel != nullptr && ctx.cancel->cancelled()) throw_cancelled(ctx);
-  const faults::FaultPlan* plan = ctx.faults;
+  const RunOptions& run = *ctx.run;
+  if (run.cancel != nullptr && run.cancel->cancelled()) throw_cancelled(ctx);
+  const faults::FaultPlan* plan = run.faults;
   if (plan == nullptr || plan->empty()) return;
   if (plan->crashes_before_op(ctx.device, op_index)) {
     throw StageFailure(FailureKind::Crash, ctx.device,
@@ -60,13 +62,13 @@ void check_faults_before_op(const StageContext& ctx, int op_index) {
                            " crashed before op " + std::to_string(op_index));
   }
   if (plan->hangs_before_op(ctx.device, op_index)) {
-    if (ctx.cancel != nullptr) {
-      ctx.cancel->wait();
+    if (run.cancel != nullptr) {
+      run.cancel->wait();
       throw_cancelled(ctx);
     }
     // No token to park on: the hang is bounded by the recv deadline so an
     // unsupervised run still terminates (as its peers' receives do).
-    const double bound = ctx.recv_deadline_ms > 0 ? ctx.recv_deadline_ms
+    const double bound = run.recv_deadline_ms > 0 ? run.recv_deadline_ms
                                                   : 30000.0;
     std::this_thread::sleep_for(
         std::chrono::duration<double, std::milli>(bound));
@@ -78,8 +80,8 @@ void check_faults_before_op(const StageContext& ctx, int op_index) {
   if (slow_ms > 0) {
     // A straggler burns real wall-clock time but stays cancellable: the
     // delay is spent parked on the token when one is present.
-    if (ctx.cancel != nullptr) {
-      if (ctx.cancel->wait_for_ms(slow_ms)) throw_cancelled(ctx);
+    if (run.cancel != nullptr) {
+      if (run.cancel->wait_for_ms(slow_ms)) throw_cancelled(ctx);
     } else {
       std::this_thread::sleep_for(
           std::chrono::duration<double, std::milli>(slow_ms));
@@ -87,16 +89,16 @@ void check_faults_before_op(const StageContext& ctx, int op_index) {
   }
   if (const faults::TransientOpFault* fault =
           plan->transient_for(ctx.device, op_index)) {
-    if (fault->failures > ctx.max_transient_retries) {
+    if (fault->failures > run.max_transient_retries) {
       throw StageFailure(
           FailureKind::Transient, ctx.device,
           "device " + std::to_string(ctx.device) + " op " +
               std::to_string(op_index) + " failed " +
               std::to_string(fault->failures) + " times (retry budget " +
-              std::to_string(ctx.max_transient_retries) + ")");
+              std::to_string(run.max_transient_retries) + ")");
     }
     util::BackoffOptions backoff_opts;
-    backoff_opts.base_ms = ctx.backoff_base_ms;
+    backoff_opts.base_ms = run.backoff_base_ms;
     util::Backoff backoff(backoff_opts);
     for (int attempt = 0; attempt < fault->failures; ++attempt) {
       util::Backoff::sleep_for_ms(backoff.next_ms());
@@ -111,14 +113,15 @@ void check_faults_before_op(const StageContext& ctx, int op_index) {
 /// which is exactly what the consumer's verify must catch.
 void stamp_outgoing(const StageContext& ctx, bool backward, int boundary,
                     const core::ScheduleOp& op, model::Tensor& x) {
-  if (ctx.guard != nullptr && ctx.guard->handoff_crc &&
+  const RunOptions& run = *ctx.run;
+  if (run.guard != nullptr && run.guard->handoff_crc &&
       ctx.ledger != nullptr) {
     ctx.ledger->stamp(
         guard::handoff_key(backward, boundary, op.micro_batch, op.half),
         guard::tensor_crc(x));
   }
-  if (ctx.sdc != nullptr) {
-    ctx.sdc->maybe_corrupt(backward ? faults::SdcTarget::Gradient
+  if (run.sdc != nullptr) {
+    run.sdc->maybe_corrupt(backward ? faults::SdcTarget::Gradient
                                     : faults::SdcTarget::Activation,
                            boundary, op.micro_batch, x);
   }
@@ -129,16 +132,17 @@ void stamp_outgoing(const StageContext& ctx, bool backward, int boundary,
 /// passes only read the tensor's bytes.
 void verify_received(const StageContext& ctx, bool backward, int boundary,
                      const core::ScheduleOp& op, const model::Tensor& x) {
-  if (ctx.guard == nullptr) return;
+  const RunOptions& run = *ctx.run;
+  if (run.guard == nullptr) return;
   const char* what = backward ? "gradient" : "activation";
-  if (ctx.guard->handoff_crc && ctx.ledger != nullptr) {
+  if (run.guard->handoff_crc && ctx.ledger != nullptr) {
     const std::optional<std::uint32_t> want = ctx.ledger->take(
         guard::handoff_key(backward, boundary, op.micro_batch, op.half));
     const std::uint32_t got = guard::tensor_crc(x);
-    if (ctx.guard_counters != nullptr) ++ctx.guard_counters->handoff_checks;
+    if (run.guard_counters != nullptr) ++run.guard_counters->handoff_checks;
     if (!want.has_value() || *want != got) {
-      if (ctx.guard_counters != nullptr) {
-        ++ctx.guard_counters->handoff_failures;
+      if (run.guard_counters != nullptr) {
+        ++run.guard_counters->handoff_failures;
       }
       throw StageFailure(
           FailureKind::Corruption, ctx.device,
@@ -148,9 +152,9 @@ void verify_received(const StageContext& ctx, bool backward, int boundary,
               std::to_string(ctx.device) + ")");
     }
   }
-  if (ctx.guard->nonfinite_checks && !guard::tensor_finite(x)) {
-    if (ctx.guard_counters != nullptr) {
-      ++ctx.guard_counters->nonfinite_failures;
+  if (run.guard->nonfinite_checks && !guard::tensor_finite(x)) {
+    if (run.guard_counters != nullptr) {
+      ++run.guard_counters->nonfinite_failures;
     }
     throw StageFailure(FailureKind::Corruption, ctx.device,
                        std::string("non-finite ") + what +
@@ -163,28 +167,29 @@ void verify_received(const StageContext& ctx, bool backward, int boundary,
 }  // namespace
 
 double run_stage(const StageContext& ctx) {
+  const RunOptions& run = *ctx.run;
   if (static_cast<int>(ctx.blocks.size()) != ctx.chunks) {
     throw std::invalid_argument("block ranges do not match chunk count");
   }
   const int global_stages = ctx.num_devices * ctx.chunks;
   double loss = 0;
-  if (ctx.health != nullptr) {
-    ctx.health->mark(ctx.device, DeviceHealth::Running);
+  if (run.health != nullptr) {
+    run.health->mark(ctx.device, DeviceHealth::Running);
   }
-  const auto receive = [&ctx](Channel& ch, const MessageTag& tag) {
-    if (ctx.cancel == nullptr) {
-      return ctx.recv_deadline_ms > 0 ? ch.recv_for(tag, ctx.recv_deadline_ms)
+  const auto receive = [&ctx, &run](Channel& ch, const MessageTag& tag) {
+    if (run.cancel == nullptr) {
+      return run.recv_deadline_ms > 0 ? ch.recv_for(tag, run.recv_deadline_ms)
                                       : ch.recv(tag);
     }
     // Cancellation-aware wait: slice the (possibly unbounded) deadline into
     // short polls and check the token between them, so a watchdog abort
     // frees this worker within one poll even if its peer never sends.
-    double remaining = ctx.recv_deadline_ms;
-    const double slice_ms = ctx.cancel_poll_ms > 0 ? ctx.cancel_poll_ms : 25;
+    double remaining = run.recv_deadline_ms;
+    const double slice_ms = run.cancel_poll_ms > 0 ? run.cancel_poll_ms : 25;
     while (true) {
-      if (ctx.cancel->cancelled()) throw_cancelled(ctx);
+      if (run.cancel->cancelled()) throw_cancelled(ctx);
       double wait_ms = slice_ms;
-      if (ctx.recv_deadline_ms > 0) {
+      if (run.recv_deadline_ms > 0) {
         if (remaining <= 0) {
           throw StageFailure(
               FailureKind::Timeout, ctx.device,
@@ -253,7 +258,7 @@ double run_stage(const StageContext& ctx) {
       // under recompute, else from the dedicated head_input slot.
       for (int b = range.first; b < range.first + range.count; ++b) {
         const bool head = last && b == range.first + range.count - 1;
-        if (ctx.recompute) {
+        if (run.recompute) {
           entry.inputs.push_back(std::move(x));
           x = ctx.model->block(b).forward(entry.inputs.back());
         } else if (head) {
@@ -311,7 +316,7 @@ double run_stage(const StageContext& ctx) {
         }
         const int head = range.first + range.count - 1;
         const model::Tensor& head_in =
-            ctx.recompute ? entry.inputs.back() : entry.head_input;
+            run.recompute ? entry.inputs.back() : entry.head_input;
         const model::Tensor logits = ctx.model->block(head).forward(head_in);
         loss += model::cross_entropy(logits, targets, ctx.loss_scale, &dy);
       } else {
@@ -319,7 +324,7 @@ double run_stage(const StageContext& ctx) {
         verify_received(ctx, /*backward=*/true, global, op, dy);
       }
       const bool split = op.type == core::OpType::BackwardInput;
-      if (split && !ctx.recompute) {
+      if (split && !run.recompute) {
         throw std::invalid_argument(
             "zero-bubble split backward requires recompute (the input half "
             "re-derives intermediates from stashed block inputs)");
@@ -331,7 +336,7 @@ double run_stage(const StageContext& ctx) {
         if (split) {
           dy = block.backward_input(entry.inputs[b - range.first], dy,
                                     &states[b - range.first]);
-        } else if (ctx.recompute) {
+        } else if (run.recompute) {
           dy = block.backward(entry.inputs[b - range.first], dy);
         } else {
           dy = block.backward_cached(*entry.caches[b - range.first], dy);
@@ -346,7 +351,7 @@ double run_stage(const StageContext& ctx) {
       }
       stash.erase(it);
     }
-    if (ctx.health != nullptr) ctx.health->beat(ctx.device, op_index);
+    if (run.health != nullptr) run.health->beat(ctx.device, op_index);
   }
   if (!stash.empty()) {
     throw std::logic_error("device finished with unconsumed activations");

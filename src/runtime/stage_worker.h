@@ -17,23 +17,17 @@
 #include <vector>
 
 #include "core/schedule.h"
-#include "faults/fault_plan.h"
 #include "model/data.h"
 #include "model/transformer.h"
-#include "runtime/cancel.h"
 #include "runtime/channel.h"
-#include "runtime/health.h"
 
-namespace autopipe::faults {
-class SdcInjector;
-}
 namespace autopipe::guard {
-struct GuardOptions;
-struct GuardCounters;
 class HandoffLedger;
 }
 
 namespace autopipe::runtime {
+
+struct RunOptions;
 
 struct BlockRange {
   int first = 0;
@@ -54,56 +48,19 @@ struct StageContext {
   /// and half-micro-batch gradients add up to the full-batch gradients.
   double loss_scale = 1.0;
   int seq_len = 0;
+  /// The iteration's knobs (recompute, faults, deadlines, health, cancel,
+  /// guards, SDC injection), shared by every worker; never null.
+  const RunOptions* run = nullptr;
   /// forward_channels[g]: activations crossing global boundary g -> g+1;
   /// backward_channels[g]: gradients crossing g+1 -> g. Size = global
   /// stages - 1.
   std::vector<Channel>* forward_channels = nullptr;
   std::vector<Channel>* backward_channels = nullptr;
-  /// Activation checkpointing (§II-C): true (the paper's setting) stashes
-  /// only block inputs and re-runs forwards inside backward; false keeps
-  /// each block's full cache (selective caching where the block supports
-  /// it) and trades memory for speed.
-  bool recompute = true;
-  /// Deterministic fault injection (faults/fault_plan.h): DeviceCrash
-  /// entries with after_ops >= 0 kill this device just before that op;
-  /// TransientOpFault entries make an op fail a few times first. Null or an
-  /// empty plan leaves execution bit-identical to the fault-free path.
-  const faults::FaultPlan* faults = nullptr;
-  /// Bounded recv: > 0 turns every channel wait into recv_for with this
-  /// deadline so a silently hung peer becomes StageFailure(Timeout) instead
-  /// of an infinite block; 0 waits forever (still closure-aware).
-  double recv_deadline_ms = 0;
-  /// In-place retry of transient op faults: attempt k sleeps
-  /// backoff_base_ms * 2^k before re-executing; a fault injecting more
-  /// failures than max_transient_retries escalates to
-  /// StageFailure(Transient).
-  double backoff_base_ms = 0.05;
-  int max_transient_retries = 3;
+  /// Handoff CRC ledger, set when `run->guard` enables handoff_crc.
+  guard::HandoffLedger* ledger = nullptr;
   /// Out-param (owned by the runtime): in-place transient retries consumed
   /// by this worker.
   int* transient_retries = nullptr;
-  /// Optional heartbeat sink: the worker marks itself Running on entry and
-  /// beats after every completed schedule op, so an external watchdog can
-  /// tell a wedged device from one waiting out a legitimate pipeline
-  /// bubble. Null = no health reporting (zero overhead).
-  HealthBoard* health = nullptr;
-  /// Optional cooperative cancellation: checked before every op and between
-  /// receive poll slices; an injected HangFault parks on this token so the
-  /// watchdog can wake it. Cancellation surfaces as StageFailure(Timeout).
-  CancelToken* cancel = nullptr;
-  /// Receive waits are sliced into polls of this length when `cancel` is
-  /// set, bounding how stale a cancellation check can get.
-  double cancel_poll_ms = 25;
-  /// Integrity guards (guard/guard.h): with handoff_crc the producer stamps
-  /// a CRC32 of every boundary tensor into `ledger` and the consumer
-  /// verifies it; nonfinite_checks scans received tensors. Both passes are
-  /// read-only -- the copy-free handoff stays copy-free. Null = off.
-  const guard::GuardOptions* guard = nullptr;
-  guard::GuardCounters* guard_counters = nullptr;
-  guard::HandoffLedger* ledger = nullptr;
-  /// Seeded in-flight bit flips (faults/sdc.h), applied after the CRC stamp
-  /// on the producing side. Null = off.
-  faults::SdcInjector* sdc = nullptr;
 };
 
 /// Runs every op of `ctx.schedule->order[ctx.device]`; returns this

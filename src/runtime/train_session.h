@@ -8,7 +8,7 @@
 // the uninterrupted run would have drawn next: for the same partition, a
 // run resumed from step k reproduces the uninterrupted run's parameters and
 // losses bit-identically (the exact-state acceptance test of
-// tests/ckpt_test.cpp and the fault_lab `ckpt` verb).
+// tests/ckpt_test.cpp and the chaos_lab `ckpt` verb).
 //
 // Checkpoint writes that fail with a StorageError are absorbed: the failure
 // is counted and training continues -- losing a checkpoint must never lose

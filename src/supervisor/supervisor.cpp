@@ -235,22 +235,17 @@ void Supervisor::close_open_incidents(SupervisorReport& report) {
 }
 
 std::vector<int> Supervisor::degraded_counts(int survivors) {
-  if (!options_.plan_oracle) return {};
-  try {
-    std::vector<int> counts = options_.plan_oracle(survivors);
-    const int sum = std::accumulate(counts.begin(), counts.end(), 0);
-    const bool shaped =
-        static_cast<int>(counts.size()) == survivors &&
-        sum == options_.config.num_blocks() &&
-        std::all_of(counts.begin(), counts.end(), [](int c) { return c >= 1; });
-    if (shaped) return counts;
-    AP_LOG(warn) << "supervisor: plan oracle returned an ill-formed "
-                    "partition; falling back to local replan";
-  } catch (const std::exception& e) {
-    AP_LOG(warn) << "supervisor: plan oracle failed (" << e.what()
-                 << "); falling back to local replan";
+  std::vector<int> answer;
+  if (options_.plan_oracle) {
+    try {
+      answer = options_.plan_oracle(survivors);
+    } catch (const std::exception& e) {
+      AP_LOG(warn) << "supervisor: plan oracle failed (" << e.what()
+                   << "); falling back to local replan";
+    }
   }
-  return {};
+  return core::resume_partition(options_.config, options_.plan, survivors,
+                                answer);
 }
 
 SupervisorReport Supervisor::run() {
@@ -425,25 +420,35 @@ SupervisorReport Supervisor::run() {
     const int devices = session_->num_devices();
     const bool degrade = options_.mode == RecoveryMode::Degrade && devices > 1;
     core::ResumeOptions ropts;
-    ropts.plan = options_.plan;
-    ropts.num_gpus = degrade ? devices - 1 : 0;
     // Corrupted state must not be restored from a checkpoint that might
     // carry the same corruption: insist on the verified-clean stamp.
     ropts.require_verified = weight_corruption;
     try {
-      std::vector<int> override_counts;
-      if (degrade) override_counts = degraded_counts(devices - 1);
-      core::ResumeResult resumed = core::resume_from_checkpoint(
-          options_.config, armed_, session_opts_.ckpt_dir, ropts);
+      ckpt::TrainState state;
+      try {
+        state = core::resume_from_checkpoint(options_.config, armed_,
+                                             session_opts_.ckpt_dir, ropts)
+                    .state;
+      } catch (const ckpt::CkptError& e) {
+        if (!degrade || weight_corruption ||
+            e.kind() != ckpt::CkptErrorKind::NotFound) {
+          throw;
+        }
+        // Nothing durable yet, but steps are atomic: the live state is
+        // exactly what a checkpoint written now would hold, so it reshards
+        // onto the survivors as well as a restored one would.
+        state = session_->capture();
+        inc.what += " [no checkpoint yet; resharded the live state]";
+      }
       inc.action = degrade ? Action::Replan : Action::Restore;
       session_opts_.counts =
-          !override_counts.empty() ? override_counts : resumed.counts;
+          degrade ? degraded_counts(devices - 1) : state.counts;
       // The board is sized for the initial cluster; the runtime re-reset()s
       // it to the (possibly smaller) device count on every iteration.
-      build_session(session_opts_, &resumed.state);
+      build_session(session_opts_, &state);
       AP_LOG(warn) << "supervisor: " << to_string(inc.cls) << " at step "
                    << step << " -> " << to_string(inc.action)
-                   << " from step " << resumed.state.step << " on "
+                   << " from step " << state.step << " on "
                    << session_opts_.counts.size() << " device(s)";
     } catch (const ckpt::CkptError& e) {
       if (weight_corruption && e.kind() != ckpt::CkptErrorKind::Mismatch) {

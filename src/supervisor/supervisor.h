@@ -22,8 +22,10 @@
 //             durable checkpoint and replay -> degraded replan onto N-1
 //             survivors (Degrade mode; optionally consulting an external
 //             plan oracle such as a running plan_serve daemon, with local
-//             replan as fallback). Budget exhausted or an unclassifiable
-//             error -> graceful abort with a typed report. Corruption has
+//             replan as fallback; before the first checkpoint the live,
+//             atomic-step state is resharded instead of a restored one).
+//             Budget exhausted or an unclassifiable error -> graceful
+//             abort with a typed report. Corruption has
 //             its own rung: in-flight flips (activation/gradient) were
 //             consumed by the detected attempt, so an in-place re-execute
 //             is state-exact; corrupted *state* (weight/optimizer flips)
@@ -163,6 +165,8 @@ class Supervisor {
   void apply_state_flip(const ChaosEvent& event);
   bool charge_action(SupervisorReport& report, const std::string& context);
   void close_open_incidents(SupervisorReport& report);
+  /// Partition for `survivors` devices: the plan oracle's answer when
+  /// well-formed, else the local Planner (core::resume_partition).
   std::vector<int> degraded_counts(int survivors);
 
   SupervisorOptions options_;

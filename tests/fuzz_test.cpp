@@ -17,7 +17,6 @@
 #include "model/ops.h"
 #include "runtime/optimizer.h"
 #include "runtime/pipeline_runtime.h"
-#include "runtime/recovery.h"
 #include "runtime/train_session.h"
 #include "supervisor/chaos.h"
 #include "supervisor/supervisor.h"
@@ -412,9 +411,10 @@ TEST(ScheduleEvalFuzz, AnalyticEvaluatorMatchesExecutorForEveryKind) {
 class RecoveryFuzz : public testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(RecoveryFuzz, CrashRecoveryReproducesNoFaultGradients) {
-  // Property: wherever a device crash lands, the recovered iteration's
-  // gradients are bit-identical to a fault-free run on the partition the
-  // replanner chose, and match the single-process reference.
+  // Property: wherever a device crash lands in the first step -- before
+  // any checkpoint exists -- the Degrade-mode supervisor finishes on the
+  // two survivors, bit-identical to a fault-free session on the partition
+  // it chose, and matching the single-process reference.
   util::Rng rng(GetParam());
   model::TinySpec spec;
   spec.layers = 3;  // 8 blocks
@@ -423,7 +423,6 @@ TEST_P(RecoveryFuzz, CrashRecoveryReproducesNoFaultGradients) {
   spec.vocab = 32;
   spec.seq = 4;
   spec.seed = GetParam();
-  model::TransformerModel ref(spec), piped(spec);
 
   costmodel::ModelSpec ms;
   ms.name = "tiny";
@@ -433,43 +432,48 @@ TEST_P(RecoveryFuzz, CrashRecoveryReproducesNoFaultGradients) {
   ms.vocab = spec.vocab;
   ms.default_seq = spec.seq;
   ms.causal = spec.causal;
-  const auto cfg = costmodel::build_model_config(ms, {4, 0, true});
 
   const int B = 4, m = 6;
+  runtime::TrainSessionOptions base;
+  base.spec = spec;
+  base.counts = {2, 3, 3};
+  base.micro_batch = B;
+  base.num_micro_batches = m;
+  base.data_seed = GetParam();
+
+  supervisor::ChaosScript script;
+  supervisor::ChaosEvent crash;
+  crash.step = 0;
+  crash.kind = supervisor::ChaosKind::Crash;
+  crash.device = static_cast<int>(rng.next_below(3));
+  crash.op_index = static_cast<int>(rng.next_below(12));  // anywhere in 1F1B
+  script.events.push_back(crash);
+
+  supervisor::SupervisorOptions o;
+  o.session = base;  // checkpointing off
+  o.config = costmodel::build_model_config(ms, {4, 0, true});
+  o.target_steps = 1;
+  o.mode = supervisor::RecoveryMode::Degrade;
+  o.chaos = &script;
+  supervisor::Supervisor sup(o);
+  const supervisor::SupervisorReport report = sup.run();
+  ASSERT_TRUE(report.completed) << report.abort_reason;
+  ASSERT_EQ(report.final_counts.size(), 2u);
+  EXPECT_EQ(report.final_counts[0] + report.final_counts[1], 8);
+
+  model::TransformerModel ref(spec);
   model::SyntheticCorpus corpus(spec.vocab, GetParam());
   const auto batch = corpus.next_batch(B * m, spec.seq);
-  const auto micro =
-      model::SyntheticCorpus::split_micro_batches(batch, spec.seq, B);
-  const double scale = 1.0 / (B * m * spec.seq);
   ref.zero_grads();
-  const double ref_loss = ref.reference_step(batch.ids, batch.targets, scale);
+  const double ref_loss = ref.reference_step(batch.ids, batch.targets,
+                                             1.0 / (B * m * spec.seq));
+  EXPECT_NEAR(report.losses[0], ref_loss, 1e-4);
 
-  faults::FaultPlan plan;
-  faults::DeviceCrash crash;
-  crash.device = static_cast<int>(rng.next_below(3));
-  crash.after_ops = static_cast<int>(rng.next_below(12));  // anywhere in 1F1B
-  plan.crashes.push_back(crash);
-
-  runtime::RecoveryOptions rec;
-  rec.run.faults = &plan;
-  rec.backoff_base_ms = 0.01;
-  rec.plan = {3, 24, 0, false, 1};
-  piped.zero_grads();
-  const auto report = runtime::run_iteration_with_recovery(
-      piped, cfg, {2, 3, 3}, micro, scale, rec);
-
-  EXPECT_TRUE(report.recovered);
-  EXPECT_TRUE(report.degraded);
-  EXPECT_NEAR(report.result.loss, ref_loss, 1e-5);
-  EXPECT_LT(ref.max_grad_diff(piped), 1e-4);
-
-  model::TransformerModel clean(spec);
-  clean.zero_grads();
-  runtime::PipelineRuntime rt(clean, report.final_counts);
-  const auto schedule =
-      rt.make_schedule(costmodel::ScheduleKind::OneFOneB, m);
-  rt.run_iteration(schedule, micro, scale);
-  EXPECT_DOUBLE_EQ(clean.max_grad_diff(piped), 0.0);
+  base.counts = report.final_counts;
+  runtime::TrainSession clean(base);
+  clean.step();
+  EXPECT_TRUE(sup.session().capture() == clean.capture());
+  EXPECT_EQ(report.losses, clean.losses());
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomCrashPoints, RecoveryFuzz,

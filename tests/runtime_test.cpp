@@ -224,8 +224,9 @@ TEST(Runtime, NoRecomputeModeMatchesReference) {
   piped.zero_grads();
   const auto schedule =
       rt.make_schedule(costmodel::ScheduleKind::OneFOneB, m);
-  const auto result =
-      rt.run_iteration(schedule, micro, scale, /*recompute=*/false);
+  RunOptions run;
+  run.recompute = false;
+  const auto result = rt.run_iteration(schedule, micro, scale, run);
   EXPECT_NEAR(result.loss, ref_loss, 1e-5);
   EXPECT_LT(ref.max_grad_diff(piped), 1e-4);
 }

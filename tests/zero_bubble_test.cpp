@@ -349,9 +349,10 @@ TEST(ZeroBubbleRuntime, RejectsNoRecomputeMode) {
   PipelineRuntime rt(m, {4, 4});
   const auto schedule =
       rt.make_schedule(costmodel::ScheduleKind::ZeroBubble, 4, 0);
-  EXPECT_THROW(
-      rt.run_iteration(schedule, micro, 1.0 / 64, /*recompute=*/false),
-      std::invalid_argument);
+  RunOptions run;
+  run.recompute = false;
+  EXPECT_THROW(rt.run_iteration(schedule, micro, 1.0 / 64, run),
+               std::invalid_argument);
 }
 
 // ------------------------------------------------------- per-block split
