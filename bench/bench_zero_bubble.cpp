@@ -54,9 +54,10 @@ int main(int argc, char** argv) {
             .iteration_ms;
     const auto zb_schedule = core::make_zero_bubble(costs, micro, cfg.comm_ms);
     const double zb = sim::execute(zb_schedule, opts).iteration_ms;
-    // The analytic evaluator must agree with the zero-overhead executor --
-    // the same invariant the fuzz suite enforces; here it guards the bench
-    // itself against pricing drift.
+    // The analytic evaluator and the executor time the same schedule graph,
+    // so with no options the executor must add nothing to it -- the same
+    // invariant the fuzz suite enforces; here it guards execute()'s
+    // option-free arithmetic on the bench's own schedules.
     const double zb_eval = core::evaluate_schedule(zb_schedule).iteration_ms;
     const double zb_exec = sim::execute(zb_schedule).iteration_ms;
 

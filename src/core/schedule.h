@@ -139,12 +139,13 @@ struct ScheduleEval {
   std::vector<int> critical_path;
 };
 
-/// Evaluates `schedule` by longest-path relaxation over the same dependency
-/// graph sim::execute builds (intra-device order, cross-stage transfers with
-/// halved/aggregated sliced-half lags), with ties broken toward the higher
-/// device ("closest to the last pipeline stage", Fig. 4). Matches
-/// sim::execute's fault-free, zero-overhead timing exactly. Validates the
-/// schedule; throws std::logic_error on malformed or cyclic schedules.
+/// Evaluates `schedule` by longest-path relaxation over its dependency graph
+/// (sim::build_schedule_graph: intra-device order, cross-stage transfers
+/// with halved/aggregated sliced-half lags), with ties broken toward the
+/// higher device ("closest to the last pipeline stage", Fig. 4).
+/// sim::execute times the same graph, so this matches its fault-free,
+/// zero-overhead timing exactly. Validates the schedule; throws
+/// std::logic_error on malformed or cyclic schedules.
 ScheduleEval evaluate_schedule(const Schedule& schedule);
 
 }  // namespace autopipe::core

@@ -1,169 +1,36 @@
 // Analytic longest-path evaluation of a Schedule (evaluate_schedule).
 //
-// Builds the same dependency graph sim::execute does -- intra-device
-// serialization edges plus cross-stage transfer edges lagged by the
-// schedule's per-boundary comm costs, with the §III-C halved/aggregated
-// sliced-half lags -- and relaxes start times in topological order. With
-// zero per-op overhead, zero jitter and no faults the executor's
-// discrete-event timing is exactly this longest path, so the two agree
-// bit-for-bit; unlike the executor this pass also records the binding
-// predecessor of every op and backtracks the critical path.
-#include "core/schedule.h"
-
+// Times the schedule's dependency graph (sim::build_schedule_graph, the one
+// sim::execute runs) with TaskGraph's relaxation, whose tie-break binds the
+// higher device among equally late predecessors. Without per-op overhead,
+// jitter, all-reduce or faults the executor adds nothing to that graph, so
+// the two timings agree bit-for-bit; on top of them this pass reports the
+// startup overhead and backtracks the critical path.
 #include <algorithm>
-#include <map>
-#include <stdexcept>
-#include <tuple>
-#include <vector>
+
+#include "core/schedule.h"
+#include "sim/event_engine.h"
 
 namespace autopipe::core {
 
-namespace {
-
-// One logical computation: (global stage, type, micro-batch, half); chunks
-// are folded into the global stage. Mirrors the executor's OpKey.
-using OpKey = std::tuple<int, int, int, int>;
-
-struct Edge {
-  int from = -1;
-  int to = -1;
-  double lag_ms = 0;
-};
-
-}  // namespace
-
 ScheduleEval evaluate_schedule(const Schedule& schedule) {
-  validate(schedule);
+  const sim::ScheduleGraph sg = sim::build_schedule_graph(schedule);
+  const sim::TaskGraph::Timing timing = sg.graph.run();
   const int n = schedule.num_stages;
-  const int last_global = schedule.chunks * n - 1;
-
-  ScheduleEval eval;
-  std::map<OpKey, int> task_of;
-  std::vector<double> duration;
-  for (int dev = 0; dev < n; ++dev) {
-    for (const ScheduleOp& op : schedule.order[dev]) {
-      const int id = static_cast<int>(eval.ops.size());
-      const OpKey key{schedule.global_stage(dev, op.chunk),
-                      static_cast<int>(op.type), op.micro_batch, op.half};
-      if (!task_of.emplace(key, id).second) {
-        throw std::logic_error("duplicate op across devices");
-      }
-      eval.ops.push_back({op, dev, 0, 0, -1, false});
-      duration.push_back(schedule.op_duration_ms(dev, op));
-    }
-  }
-
-  auto find = [&](int global, OpType type, int mb, int half) {
-    const auto it = task_of.find({global, static_cast<int>(type), mb, half});
-    return it == task_of.end() ? -1 : it->second;
-  };
-
-  std::vector<Edge> edges;
-  // Intra-device serialization: each op waits for the previous op in its
-  // device's order, with no transfer lag.
-  {
-    int cursor = 0;
-    for (int dev = 0; dev < n; ++dev) {
-      const int count = static_cast<int>(schedule.order[dev].size());
-      for (int i = 1; i < count; ++i) {
-        edges.push_back({cursor + i - 1, cursor + i, 0.0});
-      }
-      cursor += count;
-    }
-  }
-  // Cross-stage transfers, identical to the executor's pass 2.
-  for (int id = 0; id < static_cast<int>(eval.ops.size()); ++id) {
-    const ScheduleOp& op = eval.ops[id].op;
-    const int global = schedule.global_stage(eval.ops[id].device, op.chunk);
-    if (op.type == OpType::Forward && global > 0) {
-      const double whole_hop = schedule.hop_ms(global - 1);
-      int producer = find(global - 1, OpType::Forward, op.micro_batch,
-                          op.half);
-      double lag = op.is_half() ? whole_hop / 2.0 : whole_hop;
-      if (producer >= 0 && op.half == 0 &&
-          eval.ops[producer].op.aggregated_comm) {
-        // §III-C: the producer defers the first-half transfer and ships both
-        // halves after the second half completes, as one full-size message.
-        const int second =
-            find(global - 1, OpType::Forward, op.micro_batch, 1);
-        if (second >= 0) {
-          producer = second;
-          lag = whole_hop;
-        }
-      }
-      if (producer < 0) {
-        throw std::logic_error("forward op has no upstream producer");
-      }
-      edges.push_back({producer, id, lag});
-    }
-    if ((op.type == OpType::Backward || op.type == OpType::BackwardInput) &&
-        global < last_global) {
-      // The dx producer downstream: the same backward form, falling back to
-      // the other form so fused and split stages can coexist in one
-      // schedule. BackwardWeight is local and adds no cross-stage edge.
-      const double whole_hop = schedule.hop_ms(global);
-      int producer = find(global + 1, op.type, op.micro_batch, op.half);
-      if (producer < 0) {
-        producer = find(global + 1,
-                        op.type == OpType::Backward ? OpType::BackwardInput
-                                                    : OpType::Backward,
-                        op.micro_batch, op.half);
-      }
-      if (producer < 0) {
-        throw std::logic_error("backward op has no downstream producer");
-      }
-      edges.push_back(
-          {producer, id, op.is_half() ? whole_hop / 2.0 : whole_hop});
-    }
-  }
-
-  // Longest-path relaxation in topological (Kahn) order. Among equally late
-  // predecessors the binding one is on the higher device -- the same
-  // tie-break the analytic simulator uses, keeping the critical path the
-  // unique one "closest to the last pipeline stage" (Fig. 4).
-  const int total = static_cast<int>(eval.ops.size());
-  std::vector<std::vector<int>> out(total);
-  std::vector<int> indegree(total, 0);
-  for (int e = 0; e < static_cast<int>(edges.size()); ++e) {
-    out[edges[e].from].push_back(e);
-    ++indegree[edges[e].to];
-  }
-  std::vector<int> ready;
-  for (int id = 0; id < total; ++id) {
-    if (indegree[id] == 0) ready.push_back(id);
-  }
-  int processed = 0;
-  while (!ready.empty()) {
-    const int id = ready.back();
-    ready.pop_back();
-    ++processed;
-    EvalOp& op = eval.ops[id];
-    op.end_ms = op.start_ms + duration[id];
-    for (int e : out[id]) {
-      EvalOp& to = eval.ops[edges[e].to];
-      const double arrival = op.end_ms + edges[e].lag_ms;
-      if (arrival > to.start_ms ||
-          (arrival == to.start_ms &&
-           (to.critical_pred < 0 ||
-            op.device > eval.ops[to.critical_pred].device))) {
-        to.start_ms = arrival;
-        to.critical_pred = id;
-      }
-      if (--indegree[edges[e].to] == 0) ready.push_back(edges[e].to);
-    }
-  }
-  if (processed != total) {
-    throw std::logic_error("schedule dependency graph has a cycle");
-  }
 
   // Results: makespan, startup (first forward on the last device), and the
   // critical path backtracked from the op that finishes last (ties toward
   // the higher device).
+  ScheduleEval eval;
+  eval.iteration_ms = timing.makespan_ms;
+  const int total = sg.graph.size();
+  eval.ops.reserve(total);
   int tail = -1;
   bool startup_found = false;
   for (int id = 0; id < total; ++id) {
-    const EvalOp& op = eval.ops[id];
-    eval.iteration_ms = std::max(eval.iteration_ms, op.end_ms);
+    const EvalOp& op = eval.ops.emplace_back(
+        EvalOp{sg.ops[id], sg.graph.rank(id), timing.start_ms[id],
+               timing.end_ms[id], timing.binding_pred[id], false});
     if (tail < 0 || op.end_ms > eval.ops[tail].end_ms ||
         (op.end_ms == eval.ops[tail].end_ms &&
          op.device > eval.ops[tail].device)) {

@@ -136,42 +136,6 @@ void FaultPlan::validate(int devices, int boundaries) const {
   }
 }
 
-FaultPlan FaultPlan::without_device(int device) const {
-  FaultPlan out;
-  const auto remap = [device](int d) { return d > device ? d - 1 : d; };
-  for (const Straggler& s : stragglers) {
-    if (s.device == device) continue;
-    Straggler kept = s;
-    kept.device = remap(s.device);
-    out.stragglers.push_back(kept);
-  }
-  for (const DeviceCrash& c : crashes) {
-    if (c.device == device) continue;
-    DeviceCrash kept = c;
-    kept.device = remap(c.device);
-    out.crashes.push_back(kept);
-  }
-  for (const TransientOpFault& t : transients) {
-    if (t.device == device) continue;
-    TransientOpFault kept = t;
-    kept.device = remap(t.device);
-    out.transients.push_back(kept);
-  }
-  for (const HangFault& h : hangs) {
-    if (h.device == device) continue;
-    HangFault kept = h;
-    kept.device = remap(h.device);
-    out.hangs.push_back(kept);
-  }
-  for (const SlowOps& s : slow_ops) {
-    if (s.device == device) continue;
-    SlowOps kept = s;
-    kept.device = remap(s.device);
-    out.slow_ops.push_back(kept);
-  }
-  return out;
-}
-
 FaultPlan sample_fault_plan(const FaultDistribution& dist, int devices,
                             int boundaries, double horizon_ms,
                             std::uint64_t seed) {

@@ -160,12 +160,6 @@ struct FaultPlan {
   /// Throws std::invalid_argument on out-of-range devices/boundaries or
   /// non-positive slowdowns/backoffs (boundaries = global stages - 1).
   void validate(int devices, int boundaries) const;
-
-  /// Copy with every fault referencing `device` dropped and all other
-  /// device indices above it shifted down -- the surviving-cluster view of
-  /// the plan after a crash. Boundary faults are
-  /// dropped wholesale (the degraded pipeline has different boundaries).
-  FaultPlan without_device(int device) const;
 };
 
 /// Knobs of the seeded scenario generator: per-device straggler and

@@ -1,28 +1,20 @@
 #include "sim/executor.h"
 
 #include <algorithm>
-#include <map>
+#include <limits>
 #include <stdexcept>
 #include <tuple>
-#include <utility>
 
 #include "sim/event_engine.h"
 #include "util/rng.h"
 
 namespace autopipe::sim {
 
-namespace {
-
-// Key identifying one logical computation: (global stage, type, micro-batch,
-// half). Chunks are folded into the global stage.
-using OpKey = std::tuple<int, int, int, int>;
-
-}  // namespace
-
 ExecResult execute(const core::Schedule& schedule, const ExecOptions& options) {
-  core::validate(schedule);
+  ScheduleGraph sg = build_schedule_graph(schedule);
+  TaskGraph& graph = sg.graph;
   const int n = schedule.num_stages;
-  const int last_global = schedule.chunks * n - 1;
+  const int num_ops = graph.size();
 
   // Fault hooks only engage for a non-empty plan: a null or empty FaultPlan
   // follows the exact arithmetic of the fault-free path, keeping its results
@@ -31,109 +23,15 @@ ExecResult execute(const core::Schedule& schedule, const ExecOptions& options) {
       options.faults && !options.faults->empty() ? options.faults : nullptr;
   if (plan) plan->validate(n, std::max(0, schedule.chunks * n - 1));
 
+  // Per-op overhead and jitter on top of the base costs, drawn in task
+  // order.
   util::Rng rng(options.seed);
-  TaskGraph graph;
-  std::map<OpKey, int> task_of;
-  // Flat list mirroring graph task ids.
-  std::vector<TimedOp> ops;
-  // Per-task device (covers the trailing all-reduce tasks too) and
-  // per-edge upstream boundary (-1 for intra-device serialization edges).
-  std::vector<int> task_device;
-  std::vector<int> edge_boundary;
-  std::vector<std::pair<int, int>> edge_ends;  // (from, to) for crash prop
-  const auto record_dep = [&](int from, int to, double lag, int boundary) {
-    const int e = graph.add_dep(from, to, lag);
-    if (static_cast<int>(edge_boundary.size()) <= e) {
-      edge_boundary.resize(e + 1, -1);
-      edge_ends.resize(e + 1);
+  for (int id = 0; id < num_ops; ++id) {
+    double duration = graph.duration(id) + options.per_op_overhead_ms;
+    if (options.jitter_frac > 0) {
+      duration *= 1.0 + options.jitter_frac * rng.uniform(-1.0, 1.0);
     }
-    edge_boundary[e] = boundary;
-    edge_ends[e] = {from, to};
-  };
-
-  // Pass 1: create tasks (with overhead and jitter applied to durations) and
-  // intra-device serialization edges.
-  for (int dev = 0; dev < n; ++dev) {
-    int prev = -1;
-    for (const core::ScheduleOp& op : schedule.order[dev]) {
-      double duration =
-          schedule.op_duration_ms(dev, op) + options.per_op_overhead_ms;
-      if (options.jitter_frac > 0) {
-        duration *= 1.0 + options.jitter_frac * rng.uniform(-1.0, 1.0);
-      }
-      const int id = graph.add_task(duration);
-      const OpKey key{schedule.global_stage(dev, op.chunk),
-                      static_cast<int>(op.type), op.micro_batch, op.half};
-      if (!task_of.emplace(key, id).second) {
-        throw std::logic_error("duplicate op across devices");
-      }
-      ops.push_back({op, dev, 0, 0});
-      task_device.push_back(dev);
-      if (prev >= 0) record_dep(prev, id, 0.0, -1);
-      prev = id;
-    }
-  }
-
-  auto find = [&](int global, core::OpType type, int mb, int half) {
-    const auto it =
-        task_of.find({global, static_cast<int>(type), mb, half});
-    return it == task_of.end() ? -1 : it->second;
-  };
-
-  // Per-boundary transfer times come from the schedule itself: the builders
-  // freeze the CommModel's prices into Schedule::boundary_comm_ms, so
-  // heterogeneous interconnects (intra-node PCIe vs inter-node InfiniBand)
-  // need no executor-side override.
-  auto hop_of = [&](int upstream_global) {
-    return schedule.hop_ms(upstream_global);
-  };
-
-  // Pass 2: cross-stage transfer edges.
-  for (int id = 0; id < static_cast<int>(ops.size()); ++id) {
-    const core::ScheduleOp& op = ops[id].op;
-    const int global = schedule.global_stage(ops[id].device, op.chunk);
-    if (op.type == core::OpType::Forward && global > 0) {
-      const double whole_hop = hop_of(global - 1);
-      int producer = find(global - 1, core::OpType::Forward, op.micro_batch,
-                          op.half);
-      double lag = op.is_half() ? whole_hop / 2.0 : whole_hop;
-      if (producer >= 0 && op.half == 0 &&
-          ops[producer].op.aggregated_comm) {
-        // §III-C: the producer defers the first-half transfer and ships both
-        // halves after the second half completes, as one full-size message.
-        const int second =
-            find(global - 1, core::OpType::Forward, op.micro_batch, 1);
-        if (second >= 0) {
-          producer = second;
-          lag = whole_hop;
-        }
-      }
-      if (producer < 0) {
-        throw std::logic_error("forward op has no upstream producer");
-      }
-      record_dep(producer, id, lag, global - 1);
-    }
-    if ((op.type == core::OpType::Backward ||
-         op.type == core::OpType::BackwardInput) &&
-        global < last_global) {
-      // The dx producer downstream: the same backward form, falling back to
-      // the other form so fused and split stages can coexist in one
-      // schedule. BackwardWeight is local and adds no cross-stage edge.
-      const double whole_hop = hop_of(global);
-      int producer = find(global + 1, op.type, op.micro_batch, op.half);
-      if (producer < 0) {
-        producer = find(global + 1,
-                        op.type == core::OpType::Backward
-                            ? core::OpType::BackwardInput
-                            : core::OpType::Backward,
-                        op.micro_batch, op.half);
-      }
-      if (producer < 0) {
-        throw std::logic_error("backward op has no downstream producer");
-      }
-      record_dep(producer, id, op.is_half() ? whole_hop / 2.0 : whole_hop,
-                 global);
-    }
+    graph.set_duration(id, duration);
   }
 
   // Hybrid data parallelism: append one all-reduce task per device, gated
@@ -146,9 +44,9 @@ ExecResult execute(const core::Schedule& schedule, const ExecOptions& options) {
     for (int dev = 0; dev < n; ++dev) {
       const int count = static_cast<int>(schedule.order[dev].size());
       if (count > 0 && options.allreduce_ms[dev] > 0) {
-        const int ar = graph.add_task(options.allreduce_ms[dev]);
-        task_device.push_back(dev);
-        record_dep(cursor + count - 1, ar, 0.0, -1);
+        const int ar = graph.add_task(options.allreduce_ms[dev], dev);
+        graph.add_dep(cursor + count - 1, ar, 0.0);
+        sg.edge_boundary.push_back(-1);  // same device, no link
       }
       cursor += count;
     }
@@ -163,16 +61,16 @@ ExecResult execute(const core::Schedule& schedule, const ExecOptions& options) {
   TaskGraph::Timing timing;
   if (plan) {
     const TaskGraph::DurationFn dur_fn = [&](int id, double start) {
-      const double factor = plan->slowdown(task_device[id], start);
+      const double factor = plan->slowdown(graph.rank(id), start);
       const double d =
           factor == 1.0 ? graph.duration(id) : graph.duration(id) * factor;
       actual_ms[id] = d;
       return d;
     };
     const TaskGraph::LagFn lag_fn = [&](int e, double base, double end) {
-      if (edge_boundary[e] < 0) return base;  // same-device edge, no link
+      if (sg.edge_boundary[e] < 0) return base;  // same-device edge, no link
       const faults::TransferOutcome t =
-          plan->transfer(edge_boundary[e], end, base);
+          plan->transfer(sg.edge_boundary[e], end, base);
       link_retries += t.retries;
       return t.lag_ms;
     };
@@ -196,15 +94,15 @@ ExecResult execute(const core::Schedule& schedule, const ExecOptions& options) {
   };
   if (plan && !plan->crashes.empty()) {
     for (int id = 0; id < graph.size(); ++id) {
-      if (const faults::DeviceCrash* c = timed_crash(task_device[id])) {
+      if (const faults::DeviceCrash* c = timed_crash(graph.rank(id))) {
         if (timing.end_ms[id] > c->at_ms) lost[id] = 1;
       }
     }
     for (bool changed = true; changed;) {
       changed = false;
-      for (const auto& [from, to] : edge_ends) {
-        if (lost[from] && !lost[to]) {
-          lost[to] = 1;
+      for (const TaskGraph::Edge& edge : graph.edges()) {
+        if (lost[edge.from] && !lost[edge.to]) {
+          lost[edge.to] = 1;
           changed = true;
         }
       }
@@ -224,21 +122,20 @@ ExecResult execute(const core::Schedule& schedule, const ExecOptions& options) {
   result.failure = failure;
   result.link_retries = link_retries;
   result.device_busy_ms.assign(n, 0.0);
-  result.trace.reserve(ops.size());
+  result.trace.reserve(num_ops);
   result.startup_ms = 0;
   bool startup_found = false;
   double completed_makespan = 0;
   // Compute ops only; trailing all-reduce tasks count toward the makespan
   // but are not compute busy time.
-  for (int id = 0; id < static_cast<int>(ops.size()); ++id) {
+  for (int id = 0; id < num_ops; ++id) {
     if (lost[id]) {
       ++result.failure.lost_ops;
       continue;
     }
     ++result.failure.completed_ops;
-    TimedOp timed = ops[id];
-    timed.start_ms = timing.start_ms[id];
-    timed.end_ms = timing.end_ms[id];
+    const TimedOp timed{sg.ops[id], graph.rank(id), timing.start_ms[id],
+                        timing.end_ms[id]};
     result.device_busy_ms[timed.device] += actual_ms[id];
     // Startup overhead (§II-B): when the last *device* starts computing its
     // first forward. Under the interleaved schedule that is the device's

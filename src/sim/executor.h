@@ -1,11 +1,15 @@
 // Discrete-event execution of a pipeline Schedule.
 //
-// This is the "actual run" substitute for the paper's GPU cluster: every
-// schedule op becomes a task on its device (serialized in schedule order),
-// activations and gradients travel over lagged cross-device edges, and --
-// unlike the paper-faithful analytic simulator -- each op can pay a fixed
-// kernel-launch overhead and multiplicative jitter. The overhead term
-// produces the stable simulator-vs-actual bias of Fig. 11.
+// This is the "actual run" substitute for the paper's GPU cluster. It times
+// the schedule's dependency graph (sim::build_schedule_graph, the graph
+// core::evaluate_schedule times too): every schedule op is a task on its
+// device (serialized in schedule order), and activations and gradients
+// travel over lagged cross-device edges. On top of that graph -- unlike the
+// paper-faithful analytic simulator -- each op can pay a fixed
+// kernel-launch overhead and multiplicative jitter, devices can end with a
+// gradient all-reduce, and a FaultPlan can stretch ops and transfers or
+// crash a device. The overhead term produces the stable simulator-vs-actual
+// bias of Fig. 11.
 #pragma once
 
 #include <cstdint>

@@ -8,30 +8,24 @@ namespace autopipe::supervisor {
 
 std::vector<double> max_silent_gaps_ms(const core::Schedule& schedule,
                                        const core::ScheduleEval& eval) {
-  const int devices = schedule.num_stages;
-  // Collect each device's op completion times in ascending order. EvalOp
-  // order within a device follows the schedule's execution order, whose end
-  // times are monotone on one device, but sort anyway to stay robust.
-  std::vector<std::vector<double>> ends(devices);
-  for (const core::EvalOp& op : eval.ops) {
-    ends[op.device].push_back(op.end_ms);
-  }
-  std::vector<double> gaps(devices, 0.0);
-  for (int d = 0; d < devices; ++d) {
-    std::sort(ends[d].begin(), ends[d].end());
+  const std::vector<std::vector<double>> ends =
+      device_op_ends_ms(schedule, eval);
+  std::vector<double> gaps(ends.size(), 0.0);
+  for (std::size_t d = 0; d < ends.size(); ++d) {
     double prev = 0.0;  // the board is stamped "now" at iteration start
-    double worst = 0.0;
     for (double e : ends[d]) {
-      worst = std::max(worst, e - prev);
+      gaps[d] = std::max(gaps[d], e - prev);
       prev = e;
     }
-    gaps[d] = worst;
   }
   return gaps;
 }
 
 std::vector<std::vector<double>> device_op_ends_ms(
     const core::Schedule& schedule, const core::ScheduleEval& eval) {
+  // EvalOp order within a device follows the schedule's execution order,
+  // whose end times are monotone on one device, but sort anyway to stay
+  // robust.
   std::vector<std::vector<double>> ends(schedule.num_stages);
   for (const core::EvalOp& op : eval.ops) {
     ends[op.device].push_back(op.end_ms);

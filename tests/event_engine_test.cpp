@@ -43,6 +43,46 @@ TEST(TaskGraph, DiamondTakesLongestPath) {
   EXPECT_EQ(t.binding_pred[sink], slow);
 }
 
+TEST(TaskGraph, EqualArrivalsBindTheHigherRank) {
+  // Two predecessors whose arrivals tie at 3.0. Ready sources are relaxed
+  // in reverse creation order, so creating them (and inserting their edges)
+  // in both orders relaxes either one first; the higher-ranked predecessor
+  // binds both times.
+  for (const bool high_first : {false, true}) {
+    TaskGraph g;
+    int low = -1;
+    int high = -1;
+    if (high_first) {
+      high = g.add_task(1.0, /*rank=*/1);
+      low = g.add_task(2.0, /*rank=*/0);
+    } else {
+      low = g.add_task(2.0, /*rank=*/0);
+      high = g.add_task(1.0, /*rank=*/1);
+    }
+    const int sink = g.add_task(1.0);
+    g.add_dep(high_first ? high : low, sink, high_first ? 2.0 : 1.0);
+    g.add_dep(high_first ? low : high, sink, high_first ? 1.0 : 2.0);
+    const auto t = g.run();
+    EXPECT_EQ(t.start_ms[sink], 3.0);
+    EXPECT_EQ(t.binding_pred[sink], high) << "high_first=" << high_first;
+  }
+  // Zero duration, zero lag: both arrivals equal the start at 0 and still
+  // bind, again to the higher rank in either order.
+  for (const bool high_first : {false, true}) {
+    TaskGraph g;
+    const int first = g.add_task(0.0, /*rank=*/high_first ? 5 : 2);
+    const int second = g.add_task(0.0, /*rank=*/high_first ? 2 : 5);
+    const int sink = g.add_task(1.0, /*rank=*/3);
+    g.add_dep(first, sink);
+    g.add_dep(second, sink);
+    const auto t = g.run();
+    EXPECT_EQ(t.start_ms[sink], 0.0);
+    EXPECT_EQ(t.binding_pred[sink], high_first ? first : second)
+        << "high_first=" << high_first;
+    EXPECT_EQ(t.binding_pred[first], -1);
+  }
+}
+
 TEST(TaskGraph, IndependentTasksStartAtZero) {
   TaskGraph g;
   const int a = g.add_task(4.0);

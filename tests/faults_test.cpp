@@ -64,27 +64,6 @@ TEST(FaultPlan, CrashLookupsAndRuntimeTrigger) {
   EXPECT_FALSE(rt.crashes_before_op(0, 9));
 }
 
-TEST(FaultPlan, WithoutDeviceRemapsSurvivors) {
-  FaultPlan plan;
-  plan.stragglers.push_back({0, 0, 10, 2.0});
-  plan.stragglers.push_back({1, 0, 10, 2.0});
-  plan.stragglers.push_back({2, 0, 10, 2.0});
-  plan.crashes.push_back({2, 5.0, -1});
-  plan.transients.push_back({1, 3, 1});
-  plan.spikes.push_back({0, 0, 10, 1.0});
-
-  const FaultPlan degraded = plan.without_device(1);
-  ASSERT_EQ(degraded.stragglers.size(), 2u);
-  EXPECT_EQ(degraded.stragglers[0].device, 0);
-  EXPECT_EQ(degraded.stragglers[1].device, 1);  // old device 2 shifted down
-  ASSERT_EQ(degraded.crashes.size(), 1u);
-  EXPECT_EQ(degraded.crashes[0].device, 1);
-  EXPECT_TRUE(degraded.transients.empty());  // belonged to the lost device
-  // Boundary faults are dropped wholesale: the degraded pipeline has
-  // different boundaries.
-  EXPECT_TRUE(degraded.spikes.empty());
-}
-
 TEST(FaultPlan, ValidateRejectsOutOfRangeAndNonPositive) {
   FaultPlan ok;
   ok.stragglers.push_back({0, 0, 10, 1.5});

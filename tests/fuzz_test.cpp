@@ -330,10 +330,11 @@ TEST(FaultFuzz, EmptyPlanIsBitIdenticalForEveryScheduleKind) {
 }
 
 TEST(ScheduleEvalFuzz, AnalyticEvaluatorMatchesExecutorForEveryKind) {
-  // The longest-path evaluator and the discrete-event executor build the
-  // same dependency graph, so with zero overhead, zero jitter and no faults
-  // their timings must agree bit-for-bit -- for every ScheduleKind, on
-  // random partitions and random per-boundary comm cost vectors.
+  // The longest-path evaluator and the discrete-event executor time the
+  // one graph sim::build_schedule_graph builds, so with zero overhead, zero
+  // jitter and no faults the executor must add nothing to its timing: the
+  // two agree bit-for-bit -- for every ScheduleKind, on random partitions
+  // and random per-boundary comm cost vectors.
   util::Rng rng(57);
   for (int trial = 0; trial < 48; ++trial) {
     const int stages = 2 + static_cast<int>(rng.next_below(6));
