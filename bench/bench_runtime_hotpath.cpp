@@ -16,12 +16,19 @@
 // the trainer's shapes with --threads workers, and at train-deep's shapes
 // (64 tokens, hidden 64) on one thread.
 //
+// Three rows time the serial work around a guarded train-deep step, on one
+// thread: crc32 (GB/s over 10 MiB, slicing-by-8 and the dispatched update),
+// adam_step (the scalar loop and the dispatched step over train-deep's
+// model) and gelu_with_grad (against gelu + gelu_backward at 64x256). The
+// crc32 row fails the run, exit code 1, when the two CRC kernels disagree.
+//
 // --assert-speedup S exits non-zero unless the end-to-end fast path, and
 // every GEMM row's fast kernel, is at least S times the naive throughput;
 // CI runs a tiny config with S=1.0 as a smoke check, EXPERIMENTS.md records
 // the >= 3x protocol.
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <cstdio>
 #include <functional>
 #include <vector>
@@ -30,10 +37,14 @@
 #include "core/balanced_dp.h"
 #include "model/arena.h"
 #include "model/data.h"
+#include "model/kernels.h"
 #include "model/ops.h"
+#include "runtime/adam_kernels.h"
 #include "runtime/optimizer.h"
 #include "runtime/pipeline_runtime.h"
+#include "util/checksum.h"
 #include "util/cli.h"
+#include "util/crc32_kernels.h"
 #include "util/stats.h"
 
 namespace {
@@ -245,6 +256,103 @@ int main(int argc, char** argv) {
       arena.high_water_bytes / (1024.0 * 1024.0),
       static_cast<unsigned long long>(model::ArenaBuffer::copy_count()));
 
+  // ------------------------------------------------ guarded-step tail
+  // The serial work train-deep does around each iteration: CRC32 over the
+  // weights and optimizer state, Adam, and the FFN recompute's GELU. After
+  // the trainer, so its arena and copy counts cover the trainer alone.
+  model::set_ops_threads(1);
+  bool crc_agrees = true;
+  {
+    // Both CRC kernels on one 10 MiB buffer. The dispatched update must
+    // give slicing-by-8's value: a disagreement fails the run whatever
+    // the timing.
+    std::vector<unsigned char> buf(10u << 20);
+    for (auto& b : buf) b = static_cast<unsigned char>(rng.next_u64());
+    std::uint32_t table = 0, fast = 0;
+    const double table_ms = median_ms(reps, [&] {
+      table = util::crc32_kernels::slice8(0xFFFFFFFFu, buf.data(), buf.size());
+    });
+    const double fast_ms = median_ms(reps, [&] {
+      util::Crc32 crc;
+      crc.update(buf.data(), buf.size());
+      fast = crc.value() ^ 0xFFFFFFFFu;
+    });
+    crc_agrees = table == fast;
+    const double gb = static_cast<double>(buf.size()) * 1e-9;
+    std::printf(
+        "{\"bench\":\"runtime_hotpath\",\"op\":\"crc32\",\"shape\":\"10MiB\","
+        "\"kernel\":\"%s\",\"slice8_ms\":%.4f,\"fast_ms\":%.4f,"
+        "\"slice8_gbps\":%.2f,\"gbps\":%.2f,\"agree\":%s}\n",
+        util::crc32_kernels::pclmul_supported() ? "pclmul" : "slice8",
+        table_ms, fast_ms, gb / (table_ms * 1e-3), gb / (fast_ms * 1e-3),
+        crc_agrees ? "true" : "false");
+  }
+  {
+    // Adam over train-deep's model (16 layers, hidden 64, vocab 256):
+    // the scalar loop against the dispatched step.
+    const model::TinySpec deep{16, 64, 4, 256, 16, true, 1};
+    model::TransformerModel deep_net(deep);
+    std::size_t params = 0;
+    for (int b = 0; b < deep_net.num_blocks(); ++b) {
+      for (auto& p : deep_net.block(b).params()) {
+        for (std::size_t i = 0; i < p.grad.numel(); ++i) {
+          p.grad.at(i) = static_cast<float>(rng.uniform(-1e-2, 1e-2));
+        }
+        params += p.value.numel();
+      }
+    }
+    runtime::Adam adam_deep(3e-3);
+    adam_deep.step(deep_net);  // sizes the moments
+    const runtime::adam_kernels::AdamStep k{0.9, 0.999, 0.1, 0.001, 3e-3,
+                                            1e-8};
+    runtime::AdamState moments = adam_deep.state();
+    const double scalar_ms = median_ms(reps, [&] {
+      std::size_t slot = 0;
+      for (int b = 0; b < deep_net.num_blocks(); ++b) {
+        for (auto& p : deep_net.block(b).params()) {
+          runtime::adam_kernels::adam_update(
+              k, p.grad.data(), moments.m[slot].data(),
+              moments.v[slot].data(), p.value.data(), p.value.numel());
+          ++slot;
+        }
+      }
+    });
+    const double fast_ms = median_ms(reps, [&] { adam_deep.step(deep_net); });
+    std::printf(
+        "{\"bench\":\"runtime_hotpath\",\"op\":\"adam_step\","
+        "\"shape\":\"train-deep %zu params\",\"kernel\":\"%s\","
+        "\"scalar_ms\":%.4f,\"fast_ms\":%.4f,\"speedup\":%.2f}\n",
+        params, model::kernels::avx2_supported() ? "avx2" : "scalar",
+        scalar_ms, fast_ms, scalar_ms / fast_ms);
+  }
+  {
+    // The FFN recompute's activation and gradient at train-deep's shape:
+    // gelu + gelu_backward (two tanh passes) against gelu_with_grad and
+    // the product with dy (one).
+    const model::Tensor x = model::Tensor::randn({64, 256}, rng, 1.0f);
+    const model::Tensor dy = model::Tensor::randn({64, 256}, rng, 0.02f);
+    const double two_pass_ms = median_ms(reps, [&] {
+      model::gelu(x);
+      model::gelu_backward(x, dy);
+    });
+    const double fused_ms = median_ms(reps, [&] {
+      model::Tensor grad;
+      model::gelu_with_grad(x, &grad);
+      model::Tensor dx = dy;
+      dx.mul_(grad);
+    });
+    std::printf(
+        "{\"bench\":\"runtime_hotpath\",\"op\":\"gelu_with_grad\","
+        "\"shape\":\"64x256\",\"two_pass_ms\":%.4f,\"fast_ms\":%.4f,"
+        "\"speedup\":%.2f}\n",
+        two_pass_ms, fused_ms, two_pass_ms / fused_ms);
+  }
+
+  if (!crc_agrees) {
+    std::fprintf(stderr,
+                 "FAIL: dispatched CRC32 disagrees with slicing-by-8\n");
+    return 1;
+  }
   if (assert_speedup > 0 && speedup < assert_speedup) {
     std::fprintf(stderr,
                  "FAIL: end-to-end speedup %.2fx below required %.2fx\n",

@@ -21,11 +21,15 @@ constexpr const char* kVerifiedHeader = "# autopipe-verified v1";
 
 // ------------------------------------------------- binary (de)serialization
 
+/// Appends the record format's raw little-endian fields to `out`; with no
+/// `out` it only counts them, which sizes a buffer exactly.
 struct ByteWriter {
-  std::string out;
+  std::string* out = nullptr;
+  std::size_t bytes = 0;
 
   void raw(const void* data, std::size_t size) {
-    out.append(static_cast<const char*>(data), size);
+    if (out != nullptr) out->append(static_cast<const char*>(data), size);
+    bytes += size;
   }
   void u8(std::uint8_t v) { raw(&v, 1); }
   void u32(std::uint32_t v) { raw(&v, 4); }
@@ -95,9 +99,8 @@ struct ByteReader {
   }
 };
 
-std::string serialize_stage(const TrainState& state, int first_block,
-                            int num_blocks) {
-  ByteWriter w;
+void serialize_stage(ByteWriter& w, const TrainState& state, int first_block,
+                     int num_blocks) {
   w.u32(static_cast<std::uint32_t>(first_block));
   w.u32(static_cast<std::uint32_t>(num_blocks));
   for (int b = first_block; b < first_block + num_blocks; ++b) {
@@ -115,7 +118,6 @@ std::string serialize_stage(const TrainState& state, int first_block,
       }
     }
   }
-  return w.out;
 }
 
 /// Parses one stage payload into state.blocks[first..first+n). Expects the
@@ -153,23 +155,33 @@ void deserialize_stage(std::string_view payload, TrainState& state,
 
 // ----------------------------------------------------------- record frames
 
-/// Frames a payload whose CRC32 the caller has already computed (the
-/// manifest lists the same value, so it is computed once).
-std::string frame_record(std::string_view payload, std::uint32_t crc) {
-  ByteWriter w;
+/// Magic, format version and payload length precede the payload; its
+/// CRC32 follows it.
+constexpr std::size_t kFrameHeader = 4 + 4 + 8;
+
+/// One stage's framed record, serialized once into an exactly reserved
+/// buffer; the payload's CRC32 (which the manifest lists too) is computed
+/// in place and returned through `crc`.
+std::string frame_stage(const TrainState& state, int first_block,
+                        int num_blocks, std::uint32_t* crc) {
+  ByteWriter sizer;
+  serialize_stage(sizer, state, first_block, num_blocks);
+  std::string framed;
+  framed.reserve(kFrameHeader + sizer.bytes + 4);
+  ByteWriter w{&framed};
   w.raw(kRecordMagic, 4);
   w.u32(static_cast<std::uint32_t>(kCheckpointVersion));
-  w.u64(payload.size());
-  w.raw(payload.data(), payload.size());
-  w.u32(crc);
-  return w.out;
+  w.u64(sizer.bytes);
+  serialize_stage(w, state, first_block, num_blocks);
+  *crc = util::crc32(std::string_view(framed).substr(kFrameHeader));
+  w.u32(*crc);
+  return framed;
 }
 
 /// Validates the frame and returns the payload view. Throws CkptError with
 /// the precise defect (torn tail, flipped bit, wrong version...).
 std::string_view unframe_record(std::string_view bytes) {
-  constexpr std::size_t kHeader = 4 + 4 + 8;
-  if (bytes.size() < kHeader + 4) {
+  if (bytes.size() < kFrameHeader + 4) {
     throw CkptError(CkptErrorKind::Corrupt, "record shorter than its frame");
   }
   if (std::memcmp(bytes.data(), kRecordMagic, 4) != 0) {
@@ -185,12 +197,12 @@ std::string_view unframe_record(std::string_view bytes) {
                         " (expected v" + std::to_string(kCheckpointVersion) +
                         ")");
   }
-  if (bytes.size() != kHeader + payload_size + 4) {
+  if (bytes.size() != kFrameHeader + payload_size + 4) {
     throw CkptError(CkptErrorKind::Corrupt, "record length mismatch (torn?)");
   }
-  const std::string_view payload = bytes.substr(kHeader, payload_size);
+  const std::string_view payload = bytes.substr(kFrameHeader, payload_size);
   std::uint32_t stored_crc;
-  std::memcpy(&stored_crc, bytes.data() + kHeader + payload_size, 4);
+  std::memcpy(&stored_crc, bytes.data() + kFrameHeader + payload_size, 4);
   if (stored_crc != util::crc32(payload)) {
     throw CkptError(CkptErrorKind::Corrupt, "record CRC mismatch");
   }
@@ -245,20 +257,24 @@ std::string step_dir_name(int step) {
 
 // ------------------------------------------------------------ capture/apply
 
-TrainState capture_train_state(const model::TransformerModel& model,
-                               const runtime::AdamState& adam,
-                               const util::Rng::State& data_rng, int step,
-                               const std::vector<int>& counts,
-                               int schedule_kind) {
+namespace {
+
+/// capture_train_state's body over the optimizer's step count and moments,
+/// wherever they live.
+TrainState capture(const model::TransformerModel& model, long adam_t,
+                   const std::vector<std::vector<float>>& adam_m,
+                   const std::vector<std::vector<float>>& adam_v,
+                   const util::Rng::State& data_rng, int step,
+                   const std::vector<int>& counts, int schedule_kind) {
   TrainState state;
   state.step = step;
-  state.adam_t = adam.t;
+  state.adam_t = adam_t;
   state.data_rng = data_rng;
   state.counts = counts;
   state.schedule_kind = schedule_kind;
   state.scheme_fingerprint = core::scheme_hash(counts);
 
-  const bool has_adam = adam.t > 0;
+  const bool has_adam = adam_t > 0;
   std::size_t slot = 0;
   for (int b = 0; b < model.num_blocks(); ++b) {
     BlockState block;
@@ -268,13 +284,13 @@ TrainState capture_train_state(const model::TransformerModel& model,
       ps.name = p.name;
       ps.value.assign(p.value.data(), p.value.data() + p.value.numel());
       if (has_adam) {
-        if (slot >= adam.m.size() || adam.m[slot].size() != ps.value.size()) {
+        if (slot >= adam_m.size() || adam_m[slot].size() != ps.value.size()) {
           throw CkptError(CkptErrorKind::Mismatch,
                           "optimizer state does not cover parameter '" +
                               p.name + "'");
         }
-        ps.adam_m = adam.m[slot];
-        ps.adam_v = adam.v[slot];
+        ps.adam_m = adam_m[slot];
+        ps.adam_v = adam_v[slot];
       }
       ++slot;
       block.params.push_back(std::move(ps));
@@ -282,6 +298,26 @@ TrainState capture_train_state(const model::TransformerModel& model,
     state.blocks.push_back(std::move(block));
   }
   return state;
+}
+
+}  // namespace
+
+TrainState capture_train_state(const model::TransformerModel& model,
+                               const runtime::AdamState& adam,
+                               const util::Rng::State& data_rng, int step,
+                               const std::vector<int>& counts,
+                               int schedule_kind) {
+  return capture(model, adam.t, adam.m, adam.v, data_rng, step, counts,
+                 schedule_kind);
+}
+
+TrainState capture_train_state(const model::TransformerModel& model,
+                               const runtime::Adam& adam,
+                               const util::Rng::State& data_rng, int step,
+                               const std::vector<int>& counts,
+                               int schedule_kind) {
+  return capture(model, adam.t(), adam.m(), adam.v(), data_rng, step, counts,
+                 schedule_kind);
 }
 
 runtime::AdamState apply_train_state(const TrainState& state,
@@ -368,9 +404,8 @@ std::string CheckpointWriter::write(const TrainState& state,
 
   int first = 0;
   for (int s = 0; s < stages; ++s) {
-    const std::string payload = serialize_stage(state, first, state.counts[s]);
-    const std::uint32_t crc = util::crc32(payload);
-    const std::string framed = frame_record(payload, crc);
+    std::uint32_t crc = 0;
+    const std::string framed = frame_stage(state, first, state.counts[s], &crc);
     storage_.write_file(step_dir + "/" + record_name(s), framed);
     manifest << "record " << record_name(s) << " bytes=" << framed.size()
              << " crc32=" << util::crc32_hex(crc) << "\n";

@@ -106,6 +106,13 @@ TrainState capture_train_state(const model::TransformerModel& model,
                                const util::Rng::State& data_rng, int step,
                                const std::vector<int>& counts,
                                int schedule_kind);
+/// The same snapshot, reading the optimizer's moments in place instead of
+/// through Adam::state()'s copy.
+TrainState capture_train_state(const model::TransformerModel& model,
+                               const runtime::Adam& adam,
+                               const util::Rng::State& data_rng, int step,
+                               const std::vector<int>& counts,
+                               int schedule_kind);
 
 /// Writes `state` back into a freshly-constructed model of the same
 /// architecture and returns the optimizer state to adopt. Gradients are

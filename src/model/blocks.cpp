@@ -452,13 +452,15 @@ Tensor ResidualFFNBlock::backward(const Tensor& x, const Tensor& dy) {
   const Tensor normed =
       layernorm(x, params_[0].value, params_[1].value, &ln_cache);
   const Tensor pre = linear(normed, params_[2].value, params_[3].value);
-  const Tensor act = gelu(pre);
+  Tensor gelu_grad;
+  const Tensor act = gelu_with_grad(pre, &gelu_grad);
 
   LinearGrads g2 = linear_backward(act, params_[4].value, dy);
   params_[4].grad.add_(g2.dw);
   params_[5].grad.add_(g2.dbias);
 
-  const Tensor dpre = gelu_backward(pre, g2.dx);
+  Tensor dpre = std::move(g2.dx);
+  dpre.mul_(gelu_grad);  // gelu_backward(pre, g2.dx) without a second tanh
   LinearGrads g1 = linear_backward(normed, params_[2].value, dpre);
   params_[2].grad.add_(g1.dw);
   params_[3].grad.add_(g1.dbias);
@@ -486,10 +488,11 @@ Tensor ResidualFFNBlock::backward_input(const Tensor& x, const Tensor& dy,
   auto s = std::make_unique<FFNBwState>();
   s->normed = layernorm(x, params_[0].value, params_[1].value, &s->ln);
   const Tensor pre = linear(s->normed, params_[2].value, params_[3].value);
-  s->act = gelu(pre);
+  Tensor gelu_grad;
+  s->act = gelu_with_grad(pre, &gelu_grad);
 
-  const Tensor g2_dx = linear_backward_input(params_[4].value, dy);
-  s->dpre = gelu_backward(pre, g2_dx);
+  s->dpre = linear_backward_input(params_[4].value, dy);
+  s->dpre.mul_(gelu_grad);  // gelu_backward(pre, ...) without a second tanh
   s->g1_dx = linear_backward_input(params_[2].value, s->dpre);
   Tensor dx = layernorm_backward_input(s->ln, params_[0].value, s->g1_dx);
   dx.add_(dy);

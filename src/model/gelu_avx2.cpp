@@ -119,6 +119,20 @@ __m256 gelu_arg(__m256 v) {
              add(v, mul(mul(mul(splat(kGeluCubic), v), v), v)));
 }
 
+/// gelu(v) from t = tanh(gelu_arg(v)), as gelu_one computes it.
+__m256 gelu_lanes(__m256 v, __m256 t) {
+  return mul(mul(splat(0.5f), v), add(splat(1.0f), t));
+}
+
+/// gelu'(v) from t = tanh(gelu_arg(v)), as gelu_grad_one computes it.
+__m256 gelu_grad_lanes(__m256 v, __m256 t) {
+  constexpr float kCubic3 = 3.0f * kGeluCubic;
+  const __m256 du =
+      mul(splat(kGeluC), add(splat(1.0f), mul(mul(splat(kCubic3), v), v)));
+  return add(mul(splat(0.5f), add(splat(1.0f), t)),
+             mul(mul(mul(splat(0.5f), v), sub(splat(1.0f), mul(t, t))), du));
+}
+
 /// Load/store mask for the first `rem` lanes (all lanes when rem >= 8);
 /// masked-off lanes read as 0 and are never written.
 __m256i lanes_mask(int rem) {
@@ -139,25 +153,27 @@ void avx2_gelu(const float* x, float* y, int n) {
   for (int i = 0; i < n; i += 8) {
     const __m256i m = lanes_mask(n - i);
     const __m256 v = _mm256_maskload_ps(x + i, m);
-    const __m256 t = tanh_lanes(gelu_arg(v));
-    _mm256_maskstore_ps(y + i, m,
-                        mul(mul(splat(0.5f), v), add(splat(1.0f), t)));
+    _mm256_maskstore_ps(y + i, m, gelu_lanes(v, tanh_lanes(gelu_arg(v))));
   }
 }
 
 void avx2_gelu_backward(const float* x, const float* dy, float* dx, int n) {
-  constexpr float kCubic3 = 3.0f * kGeluCubic;
+  for (int i = 0; i < n; i += 8) {
+    const __m256i m = lanes_mask(n - i);
+    const __m256 v = _mm256_maskload_ps(x + i, m);
+    const __m256 grad = gelu_grad_lanes(v, tanh_lanes(gelu_arg(v)));
+    _mm256_maskstore_ps(dx + i, m,
+                        mul(_mm256_maskload_ps(dy + i, m), grad));
+  }
+}
+
+void avx2_gelu_with_grad(const float* x, float* y, float* grad, int n) {
   for (int i = 0; i < n; i += 8) {
     const __m256i m = lanes_mask(n - i);
     const __m256 v = _mm256_maskload_ps(x + i, m);
     const __m256 t = tanh_lanes(gelu_arg(v));
-    const __m256 du =
-        mul(splat(kGeluC), add(splat(1.0f), mul(mul(splat(kCubic3), v), v)));
-    const __m256 grad =
-        add(mul(splat(0.5f), add(splat(1.0f), t)),
-            mul(mul(mul(splat(0.5f), v), sub(splat(1.0f), mul(t, t))), du));
-    _mm256_maskstore_ps(dx + i, m,
-                        mul(_mm256_maskload_ps(dy + i, m), grad));
+    _mm256_maskstore_ps(y + i, m, gelu_lanes(v, t));
+    _mm256_maskstore_ps(grad + i, m, gelu_grad_lanes(v, t));
   }
 }
 
@@ -176,6 +192,7 @@ void avx2_gelu(const float*, float*, int) { std::abort(); }
 void avx2_gelu_backward(const float*, const float*, float*, int) {
   std::abort();
 }
+void avx2_gelu_with_grad(const float*, float*, float*, int) { std::abort(); }
 
 }  // namespace autopipe::model::kernels
 

@@ -71,5 +71,11 @@ void avx2_tanh(const float* x, float* y, int n);
 void avx2_gelu(const float* x, float* y, int n);
 /// dx[i] = dy[i] * gelu'(x[i]), bit-identical to ops.cpp's scalar form.
 void avx2_gelu_backward(const float* x, const float* dy, float* dx, int n);
+/// y[i] = gelu(x[i]) and grad[i] = gelu'(x[i]) from one tanh per element:
+/// y equals ops.cpp's scalar gelu, and dy[i] * grad[i] equals its scalar
+/// gelu backward, bit for bit. gelu_with_grad is the scalar twin (ops.cpp,
+/// any CPU); avx2_gelu_with_grad the same in 8 lanes.
+void gelu_with_grad(const float* x, float* y, float* grad, int n);
+void avx2_gelu_with_grad(const float* x, float* y, float* grad, int n);
 
 }  // namespace autopipe::model::kernels

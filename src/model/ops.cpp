@@ -118,11 +118,15 @@ float gelu_one(float v) {
          (1.0f + kernels::fdlibm_tanhf(kGeluC * (v + kGeluCubic * v * v * v)));
 }
 
-float gelu_grad_one(float v) {
-  const float u = kGeluC * (v + kGeluCubic * v * v * v);
-  const float t = kernels::fdlibm_tanhf(u);
+/// gelu'(v) from t = tanh(u(v)).
+float gelu_grad_from_tanh(float v, float t) {
   const float du = kGeluC * (1.0f + 3.0f * kGeluCubic * v * v);
   return 0.5f * (1.0f + t) + 0.5f * v * (1.0f - t * t) * du;
+}
+
+float gelu_grad_one(float v) {
+  const float u = kGeluC * (v + kGeluCubic * v * v * v);
+  return gelu_grad_from_tanh(v, kernels::fdlibm_tanhf(u));
 }
 
 void layernorm_row(const float* row, const float* gamma, const float* beta,
@@ -544,6 +548,15 @@ void gemm_tile(const StridedGemm& g, int r0, int r1) {
   for (; i < r1; ++i) rows<1>(g, i);
 }
 
+void gelu_with_grad(const float* x, float* y, float* grad, int n) {
+  for (int i = 0; i < n; ++i) {
+    const float v = x[i];
+    const float t = fdlibm_tanhf(kGeluC * (v + kGeluCubic * v * v * v));
+    y[i] = 0.5f * v * (1.0f + t);
+    grad[i] = gelu_grad_from_tanh(v, t);
+  }
+}
+
 }  // namespace kernels
 
 Tensor matmul(const Tensor& a, const Tensor& b) {
@@ -674,6 +687,28 @@ Tensor gelu_backward(const Tensor& x, const Tensor& dy) {
     for (int i = e0; i < e1; ++i) pdx[i] = pdy[i] * gelu_grad_one(px[i]);
   });
   return dx;
+}
+
+Tensor gelu_with_grad(const Tensor& x, Tensor* grad) {
+  Tensor y = Tensor::uninitialized(x.shape());
+  *grad = Tensor::uninitialized(x.shape());
+  const float* px = x.data();
+  float* py = y.data();
+  float* pg = grad->data();
+  const int total = static_cast<int>(x.numel());
+  if (!fast_ops_enabled()) {
+    // ref:: has no fused form: the two scalar passes it would make.
+    for (int i = 0; i < total; ++i) py[i] = gelu_one(px[i]);
+    for (int i = 0; i < total; ++i) pg[i] = gelu_grad_one(px[i]);
+    return y;
+  }
+  const auto kernel = kernels::avx2_supported() ? &kernels::avx2_gelu_with_grad
+                                                : &kernels::gelu_with_grad;
+  panel_for((total + 255) / 256, 32.0 * total, [&](int c0, int c1) {
+    const int e0 = c0 * 256, e1 = std::min(total, c1 * 256);
+    kernel(px + e0, py + e0, pg + e0, e1 - e0);
+  });
+  return y;
 }
 
 Tensor layernorm(const Tensor& x, const Tensor& gamma, const Tensor& beta,

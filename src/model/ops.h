@@ -86,6 +86,10 @@ LinearWeightGrads linear_backward_weight(const Tensor& x, const Tensor& dy);
 /// to ref::.
 Tensor gelu(const Tensor& x);
 Tensor gelu_backward(const Tensor& x, const Tensor& dy);
+/// gelu(x), and gelu'(x) into *grad, from one tanh per element: for any
+/// dy, gelu_backward(x, dy) equals dy.mul_(*grad) bit for bit. A backward
+/// pass that recomputes the activation gets both for one tanh pass.
+Tensor gelu_with_grad(const Tensor& x, Tensor* grad);
 
 /// Per-row layer norm with scale gamma and shift beta (both [features]).
 struct LayerNormCache {

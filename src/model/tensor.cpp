@@ -54,6 +54,13 @@ void Tensor::add_(const Tensor& other) {
   for (std::size_t i = 0; i < numel(); ++i) a[i] += b[i];
 }
 
+void Tensor::mul_(const Tensor& other) {
+  if (!same_shape(other)) throw std::invalid_argument("mul_: shape mismatch");
+  float* a = data();
+  const float* b = other.data();
+  for (std::size_t i = 0; i < numel(); ++i) a[i] *= b[i];
+}
+
 void Tensor::scale_(float factor) {
   float* p = data();
   for (std::size_t i = 0; i < numel(); ++i) p[i] *= factor;

@@ -47,6 +47,8 @@ class Tensor {
 
   /// Elementwise in-place accumulate; shapes must match.
   void add_(const Tensor& other);
+  /// Elementwise in-place product; shapes must match.
+  void mul_(const Tensor& other);
   void scale_(float factor);
   void fill_(float value);
 

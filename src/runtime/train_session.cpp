@@ -177,7 +177,7 @@ void TrainSession::refresh_weight_sentinel() {
 }
 
 ckpt::TrainState TrainSession::capture() const {
-  return ckpt::capture_train_state(model_, adam_.state(), corpus_.rng_state(),
+  return ckpt::capture_train_state(model_, adam_, corpus_.rng_state(),
                                    step_, options_.counts,
                                    static_cast<int>(options_.kind));
 }

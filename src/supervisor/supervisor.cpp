@@ -102,8 +102,8 @@ void Supervisor::refresh_plan_timing() {
   const core::Schedule priced = core::build_schedule(
       session_opts_.kind, costs, m, comm, {session_opts_.sliced, 1});
   const core::ScheduleEval eval = core::evaluate_schedule(priced);
-  sim_gaps_ms_ = max_silent_gaps_ms(priced, eval);
   sim_op_ends_ms_ = device_op_ends_ms(priced, eval);
+  sim_gaps_ms_ = max_silent_gaps_ms(sim_op_ends_ms_);
   sim_iteration_ms_ = eval.iteration_ms;
 }
 

@@ -8,8 +8,11 @@ namespace autopipe::supervisor {
 
 std::vector<double> max_silent_gaps_ms(const core::Schedule& schedule,
                                        const core::ScheduleEval& eval) {
-  const std::vector<std::vector<double>> ends =
-      device_op_ends_ms(schedule, eval);
+  return max_silent_gaps_ms(device_op_ends_ms(schedule, eval));
+}
+
+std::vector<double> max_silent_gaps_ms(
+    const std::vector<std::vector<double>>& ends) {
   std::vector<double> gaps(ends.size(), 0.0);
   for (std::size_t d = 0; d < ends.size(); ++d) {
     double prev = 0.0;  // the board is stamped "now" at iteration start

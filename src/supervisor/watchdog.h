@@ -56,6 +56,9 @@ struct WatchdogVerdict {
 /// for its first completion). Multiply by a wall/sim ratio to get wall ms.
 std::vector<double> max_silent_gaps_ms(const core::Schedule& schedule,
                                        const core::ScheduleEval& eval);
+/// The same gaps from already computed device_op_ends_ms() output.
+std::vector<double> max_silent_gaps_ms(
+    const std::vector<std::vector<double>>& op_ends_ms);
 
 /// Each device's op completion times under `eval`, ascending, in simulated
 /// ms -- the blame table for Watchdog: entry [d][k] is when op k on device d

@@ -3,6 +3,8 @@
 #include <array>
 #include <cstring>
 
+#include "util/crc32_kernels.h"
+
 namespace autopipe::util {
 
 namespace {
@@ -44,14 +46,12 @@ constexpr bool little_endian() {
 
 }  // namespace
 
-void Crc32::update(std::string_view bytes) {
-  update(bytes.data(), bytes.size());
-}
+namespace crc32_kernels {
 
-void Crc32::update(const void* data, std::size_t size) {
-  const auto* p = static_cast<const unsigned char*>(data);
+std::uint32_t slice8(std::uint32_t state, const unsigned char* p,
+                     std::size_t size) {
   const auto& t = tables();
-  std::uint32_t c = state_;
+  std::uint32_t c = state;
   if (little_endian()) {
     // Hot loop for the bulk payloads (tensors, checkpoint records): the
     // word loads assume the state's bytes line up with memory order, hence
@@ -72,7 +72,39 @@ void Crc32::update(const void* data, std::size_t size) {
   for (std::size_t i = 0; i < size; ++i) {
     c = t[0][(c ^ p[i]) & 0xFFu] ^ (c >> 8);
   }
-  state_ = c;
+  return c;
+}
+
+bool pclmul_supported() {
+#if defined(__x86_64__) || defined(__i386__)
+  static const bool supported = [] {
+    __builtin_cpu_init();
+    return kPclmulBuilt && __builtin_cpu_supports("pclmul") != 0 &&
+           __builtin_cpu_supports("sse4.1") != 0;
+  }();
+  return supported;
+#else
+  return false;
+#endif
+}
+
+}  // namespace crc32_kernels
+
+void Crc32::update(std::string_view bytes) {
+  update(bytes.data(), bytes.size());
+}
+
+void Crc32::update(const void* data, std::size_t size) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  // The fold takes whole 16-byte blocks from 64 bytes up; slicing-by-8
+  // finishes the tail and covers short inputs and other CPUs.
+  if (size >= 64 && crc32_kernels::pclmul_supported()) {
+    const std::size_t bulk = size & ~static_cast<std::size_t>(15);
+    state_ = crc32_kernels::pclmul_fold(state_, p, bulk);
+    p += bulk;
+    size -= bulk;
+  }
+  state_ = crc32_kernels::slice8(state_, p, size);
 }
 
 std::uint32_t crc32(std::string_view bytes) {

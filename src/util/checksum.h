@@ -4,6 +4,9 @@
 // Not a cryptographic digest: it detects torn writes, bit flips and short
 // reads -- the storage failure modes DESIGN.md §7 enumerates -- not an
 // adversary. Incremental updates let large payloads be hashed in chunks.
+// Updates of 64 bytes and more fold with PCLMULQDQ when the CPU has it;
+// slicing-by-8 takes the rest (util/crc32_kernels.h). Both give the same
+// bits.
 #pragma once
 
 #include <cstdint>

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ckpt/checkpoint.h"
@@ -605,6 +606,63 @@ TEST(CkptBitFlipSweep, EveryOffsetFallsBackToPriorGeneration) {
   }
   // The property above is per-offset; this guards against a vacuous sweep.
   EXPECT_GT(swept, 100);
+}
+
+// ------------------------------------------------------ train-deep golden
+
+/// perfbench's train-deep shape: 16 layers at hidden 64 on 4 stages, 16
+/// micro-batches of 4 under the sliced schedule, every guard but the norm
+/// guard, a verified checkpoint after every step.
+runtime::TrainSessionOptions train_deep_options(Storage* storage) {
+  runtime::TrainSessionOptions o;
+  o.spec = {16, 64, 4, 256, 16, true, 1};
+  o.counts = {9, 8, 9, 8};
+  o.kind = costmodel::ScheduleKind::AutoPipeSliced;
+  o.sliced = 2;
+  o.micro_batch = 4;
+  o.num_micro_batches = 16;
+  o.lr = 3e-3;
+  o.data_seed = 1 * 2654435761ULL + 7;
+  o.ckpt_dir = "ckpt";
+  o.ckpt_interval = 1;
+  o.ckpt_keep = 2;
+  o.storage = storage;
+  o.guard.handoff_crc = true;
+  o.guard.nonfinite_checks = true;
+  o.guard.weight_interval = 1;
+  return o;
+}
+
+// Golden values recorded with slicing-by-8 CRC32, the scalar Adam loop and
+// the two-pass GELU recompute. The PCLMULQDQ fold, the AVX2 Adam lanes and
+// the fused GELU kernel perform the same arithmetic, so eight guarded steps
+// must reproduce these losses and checkpoint files bit for bit.
+TEST(CkptGolden, TrainDeepStepsMatchRecordedBits) {
+  MemStorage mem;
+  runtime::TrainSession session(train_deep_options(&mem));
+  for (int i = 0; i < 8; ++i) session.step();
+  const std::vector<double> losses = {
+      0x1.63069817b3772p+2, 0x1.5e05e083b12c5p+2, 0x1.66960247aae2cp+2,
+      0x1.59e43896e87a2p+2, 0x1.568ddebf8e76ep+2, 0x1.540e27356e64fp+2,
+      0x1.4db663d0458e2p+2, 0x1.4886da54401e4p+2};
+  ASSERT_EQ(session.losses().size(), losses.size());
+  for (std::size_t i = 0; i < losses.size(); ++i) {
+    EXPECT_EQ(session.losses()[i], losses[i]) << "step " << i + 1;
+  }
+  const std::vector<std::pair<std::string, std::uint32_t>> files = {
+      {"MANIFEST", 0xe47996b1u},      {"VERIFIED", 0xdb04c14du},
+      {"stage-000.rec", 0xba6cc806u}, {"stage-001.rec", 0x4e13d92eu},
+      {"stage-002.rec", 0xe714e75eu}, {"stage-003.rec", 0x8a741acbu}};
+  const std::string dir = "ckpt/" + step_dir_name(8);
+  std::vector<std::string> names = mem.list_dir(dir);
+  std::sort(names.begin(), names.end());
+  ASSERT_EQ(names.size(), files.size());
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    EXPECT_EQ(names[i], files[i].first);
+    EXPECT_EQ(util::crc32(mem.read_file(dir + "/" + files[i].first)),
+              files[i].second)
+        << files[i].first;
+  }
 }
 
 }  // namespace

@@ -13,8 +13,10 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <vector>
 
+#include "model/blocks.h"
 #include "model/kernels.h"
 #include "model/ops.h"
 #include "util/rng.h"
@@ -265,7 +267,50 @@ TEST_P(OpsGoldenThreads, GeluBitIdenticalOnEdgeInputsAndRemainderLanes) {
       expect_bits(gelu(x), ref::gelu(x), "gelu");
       expect_bits(gelu_backward(x, dy), ref::gelu_backward(x, dy),
                   "gelu_backward");
+      Tensor grad;
+      expect_bits(gelu_with_grad(x, &grad), ref::gelu(x), "gelu_with_grad");
+      Tensor dx = dy;
+      dx.mul_(grad);
+      expect_bits(dx, ref::gelu_backward(x, dy), "dy * gelu_with_grad's grad");
     }
+  }
+}
+
+/// The FFN block's backward recomputes gelu and takes gelu' from the same
+/// tanh (gelu_with_grad). Against the block run with fast ops off -- every
+/// primitive through ref:: -- dx and every parameter gradient must match
+/// bit for bit, fused and split (backward_input + backward_weight). Token
+/// x 4*hidden counts leave remainder lanes and ragged 256-element chunks.
+TEST_P(OpsGoldenThreads, FfnBackwardBitIdenticalToReference) {
+  for (const auto& [tokens, hidden] :
+       std::vector<std::array<int, 2>>{{3, 5}, {13, 7}, {9, 16}, {64, 64}}) {
+    SCOPED_TRACE(testing::Message() << tokens << " tokens x " << hidden);
+    util::Rng init_fast(31), init_ref(31), data(37 + GetParam());
+    ResidualFFNBlock fast(hidden, init_fast), naive(hidden, init_ref);
+    const Tensor x = randn({tokens, hidden}, data);
+    const Tensor dy = randn({tokens, hidden}, data);
+    auto expect_grads = [&](const char* what) {
+      for (std::size_t p = 0; p < fast.params().size(); ++p) {
+        SCOPED_TRACE(fast.params()[p].name);
+        expect_bits(fast.params()[p].grad, naive.params()[p].grad, what);
+      }
+    };
+
+    set_fast_ops(false);
+    const Tensor want = naive.backward(x, dy);
+    set_fast_ops(true);
+    expect_bits(fast.backward(x, dy), want, "backward dx");
+    expect_grads("backward grads");
+
+    std::unique_ptr<Block::BwState> state_fast, state_ref;
+    set_fast_ops(false);
+    const Tensor want_split = naive.backward_input(x, dy, &state_ref);
+    naive.backward_weight(*state_ref);
+    set_fast_ops(true);
+    expect_bits(fast.backward_input(x, dy, &state_fast), want_split,
+                "backward_input dx");
+    fast.backward_weight(*state_fast);
+    expect_grads("backward_weight grads");
   }
 }
 
@@ -355,6 +400,51 @@ TEST_P(GemmTileGolden, AllThreeProductsBitIdenticalToReference) {
 INSTANTIATE_TEST_SUITE_P(Tiles, GemmTileGolden, testing::Values(false, true),
                          [](const testing::TestParamInfo<bool>& info) {
                            return info.param ? "avx2" : "baseline";
+                         });
+
+// Both fused GELU kernels, called directly: dispatch runs only one of them
+// on any given CPU.
+using GeluWithGrad = void (*)(const float*, float*, float*, int);
+
+class GeluWithGradGolden : public testing::TestWithParam<bool> {};
+
+TEST_P(GeluWithGradGolden, MatchesGeluAndBackwardOnEdgeInputs) {
+  const bool avx2 = GetParam();
+  if (avx2 && !kernels::avx2_supported()) GTEST_SKIP() << "CPU has no AVX2";
+  const GeluWithGrad kernel =
+      avx2 ? kernels::avx2_gelu_with_grad : kernels::gelu_with_grad;
+  std::vector<float> edges = tanh_edge_inputs();
+  util::Rng rng(41);
+  for (int i = 0; i < 1000; ++i) {
+    edges.push_back(static_cast<float>(rng.uniform(-12.0, 12.0)));
+  }
+  // Windows of every length around the lane width walk each input through
+  // full and remainder lanes.
+  for (const int n : {1, 7, 8, 9, static_cast<int>(edges.size())}) {
+    for (std::size_t start = 0; start < edges.size(); start += n) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " start " << start);
+      Tensor x({n});
+      Tensor dy({n});
+      for (int i = 0; i < n; ++i) {
+        x.data()[i] = edges[(start + i) % edges.size()];
+        dy.data()[i] = static_cast<float>(rng.uniform(-2.0, 2.0));
+      }
+      Tensor y({n});
+      Tensor grad({n});
+      kernel(x.data(), y.data(), grad.data(), n);
+      expect_bits(y, ref::gelu(x), "gelu");
+      Tensor dx = dy;
+      dx.mul_(grad);
+      expect_bits(dx, ref::gelu_backward(x, dy), "dy * gelu'");
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Kernels, GeluWithGradGolden,
+                         testing::Values(false, true),
+                         [](const testing::TestParamInfo<bool>& info) {
+                           return info.param ? "avx2" : "scalar";
                          });
 
 TEST(OpsGolden, EmbeddingOpsAreSingleImplementation) {

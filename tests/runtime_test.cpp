@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <future>
+#include <limits>
 #include <thread>
+#include <vector>
 
 #include "faults/fault_plan.h"
 #include "model/data.h"
+#include "model/kernels.h"
+#include "runtime/adam_kernels.h"
 #include "runtime/channel.h"
 #include "runtime/optimizer.h"
 #include "runtime/pipeline_runtime.h"
@@ -343,6 +349,47 @@ TEST(Runtime, SgdAndAdamMoveParameters) {
   Adam adam(0.01);
   adam.step(m);
   EXPECT_NE(after_sgd, m.block(1).params()[2].value.at(0));
+}
+
+TEST(Runtime, Avx2AdamLanesMatchScalarLoop) {
+  if (!model::kernels::avx2_supported()) GTEST_SKIP() << "CPU has no AVX2";
+  // Zeros, subnormals, tiny normals, huge grads (g*g overflows float) and
+  // non-finite values, mixed into seeded ordinary ones.
+  const std::vector<float> specials = {
+      0.0f,   -0.0f,   0x1p-149f, -0x1.8p-130f, 0x1p-126f,
+      1e30f,  -3e38f,  std::numeric_limits<float>::infinity(),
+      std::numeric_limits<float>::quiet_NaN()};
+  util::Rng rng(53);
+  auto pick = [&](float scale) {
+    return rng.uniform(0.0, 1.0) < 0.2
+               ? specials[rng.next_u64() % specials.size()]
+               : static_cast<float>(rng.uniform(-scale, scale));
+  };
+  auto same = [](const std::vector<float>& a, const std::vector<float>& b) {
+    return std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+  };
+  for (const std::size_t n : {0, 1, 3, 4, 5, 7, 8, 9, 31, 33, 1001}) {
+    SCOPED_TRACE(testing::Message() << "n=" << n);
+    std::vector<float> grad(n), m(n), v(n), value(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      grad[i] = pick(1e-2f);
+      m[i] = pick(1e-3f);
+      v[i] = std::fabs(pick(1e-5f));
+      value[i] = pick(1.0f);
+    }
+    std::vector<float> m2 = m, v2 = v, value2 = value;
+    for (const long t : {1L, 2L, 1000L}) {
+      const adam_kernels::AdamStep k{0.9, 0.999, 1.0 - std::pow(0.9, t),
+                                     1.0 - std::pow(0.999, t), 3e-3, 1e-8};
+      adam_kernels::adam_update(k, grad.data(), m.data(), v.data(),
+                                value.data(), n);
+      adam_kernels::avx2_adam_update(k, grad.data(), m2.data(), v2.data(),
+                                     value2.data(), n);
+      ASSERT_TRUE(same(m, m2)) << "m after t=" << t;
+      ASSERT_TRUE(same(v, v2)) << "v after t=" << t;
+      ASSERT_TRUE(same(value, value2)) << "value after t=" << t;
+    }
+  }
 }
 
 TEST(Runtime, RejectsMismatchedConfigs) {

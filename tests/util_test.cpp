@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -12,6 +15,7 @@
 #include "util/atomic_file.h"
 #include "util/backoff.h"
 #include "util/checksum.h"
+#include "util/crc32_kernels.h"
 #include "util/cli.h"
 #include "util/logging.h"
 #include "util/rng.h"
@@ -275,6 +279,107 @@ TEST(Checksum, IncrementalMatchesOneShot) {
   crc.update("56789");
   EXPECT_EQ(crc.value(), crc32("123456789"));
   EXPECT_NE(crc32("123456789"), crc32("123456788"));
+}
+
+/// Bit-at-a-time CRC32 register update: the definition the table and fold
+/// kernels must reproduce.
+std::uint32_t bitwise_crc(std::uint32_t state, const unsigned char* p,
+                          std::size_t size) {
+  for (std::size_t i = 0; i < size; ++i) {
+    state ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      state = (state & 1u) ? 0xEDB88320u ^ (state >> 1) : state >> 1;
+    }
+  }
+  return state;
+}
+
+std::uint32_t bitwise_crc32(const unsigned char* p, std::size_t size) {
+  return bitwise_crc(0xFFFFFFFFu, p, size) ^ 0xFFFFFFFFu;
+}
+
+std::vector<unsigned char> random_bytes(std::size_t size, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<unsigned char> bytes(size);
+  for (auto& b : bytes) b = static_cast<unsigned char>(rng.next_u64());
+  return bytes;
+}
+
+std::string_view view(const std::vector<unsigned char>& bytes,
+                      std::size_t offset, std::size_t size) {
+  return {reinterpret_cast<const char*>(bytes.data()) + offset, size};
+}
+
+TEST(Checksum, EveryShortLengthAndOffsetMatchesBitwise) {
+  // Lengths cross the fold's 64-byte entry and 16-byte block edges at
+  // every alignment.
+  const std::vector<unsigned char> bytes = random_bytes(1024 + 16, 3);
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t len = 0; len <= 1024; ++len) {
+      const std::uint32_t want = bitwise_crc32(bytes.data() + offset, len);
+      ASSERT_EQ(crc32(view(bytes, offset, len)), want)
+          << "offset " << offset << " length " << len;
+      Crc32 crc;
+      crc.update(bytes.data() + offset, len);
+      ASSERT_EQ(crc.value(), want) << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(Checksum, IncrementalSplitsMatchBitwise) {
+  // Seeded split points, so a running state crosses from fold to table
+  // (and back) at arbitrary byte positions.
+  const std::vector<unsigned char> bytes = random_bytes(8192, 5);
+  const std::uint32_t want = bitwise_crc32(bytes.data(), bytes.size());
+  Rng rng(17);
+  for (int trial = 0; trial < 200; ++trial) {
+    Crc32 crc;
+    std::size_t pos = 0;
+    while (pos < bytes.size()) {
+      const std::size_t piece = std::min<std::size_t>(
+          bytes.size() - pos, rng.next_u64() % (trial % 2 ? 300 : 40));
+      crc.update(bytes.data() + pos, piece);
+      pos += piece;
+    }
+    ASSERT_EQ(crc.value(), want) << "trial " << trial;
+  }
+}
+
+TEST(Checksum, TenMegabyteBufferMatchesBitwise) {
+  const std::vector<unsigned char> bytes = random_bytes(10u << 20, 7);
+  EXPECT_EQ(crc32(view(bytes, 0, bytes.size())),
+            bitwise_crc32(bytes.data(), bytes.size()));
+}
+
+// Both CRC kernels, called directly: dispatch runs only one of them on the
+// bulk of any given buffer, so the other needs its own check.
+TEST(Checksum, Slice8MatchesBitwiseFromAnyState) {
+  const std::vector<unsigned char> bytes = random_bytes(1024 + 16, 9);
+  Rng rng(21);
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t len = 0; len <= 1024; ++len) {
+      const auto state = static_cast<std::uint32_t>(rng.next_u64());
+      ASSERT_EQ(crc32_kernels::slice8(state, bytes.data() + offset, len),
+                bitwise_crc(state, bytes.data() + offset, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(Checksum, PclmulFoldMatchesBitwiseFromAnyState) {
+  if (!crc32_kernels::pclmul_supported()) {
+    GTEST_SKIP() << "CPU has no PCLMULQDQ";
+  }
+  const std::vector<unsigned char> bytes = random_bytes(4096 + 16, 11);
+  Rng rng(23);
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t len = 64; len <= 4096; len += 16) {
+      const auto state = static_cast<std::uint32_t>(rng.next_u64());
+      ASSERT_EQ(crc32_kernels::pclmul_fold(state, bytes.data() + offset, len),
+                bitwise_crc(state, bytes.data() + offset, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
 }
 
 // ---------------------------------------------------------- atomic file
