@@ -7,15 +7,14 @@
 // two orders of magnitude of constant factor on top of what this C++
 // reimplementation measures).
 //
-// Besides the classic serial table, the harness sweeps the planners'
-// `threads` knob (powers of two up to --threads, default 8) and emits one
-// JSON line per (planner, model, threads) with the search time, the
-// memoization counters and the speedup over the same planner at threads=1.
-// Every planner returns an identical plan at every thread count, so the
-// sweep measures pure wall-clock scaling. AutoPipe's sweep times
-// core::plan() at a forced 16-stage depth (the search the thread pool
-// actually fans out); note that on a single-core host the >1-thread rows
-// only show pool overhead -- the scaling needs real cores.
+// Besides the classic serial table, the harness emits one JSON line per
+// model for AutoPipe's sequential search -- core::plan() at a forced
+// 16-stage depth, with its memoization counters -- and sweeps Piper's and
+// DAPPLE's `threads` knob (powers of two up to --threads, default 8), one
+// JSON line per (planner, model, threads) with the speedup over the same
+// planner at threads=1. Those planners return an identical plan at every
+// thread count, so the sweep measures pure wall-clock scaling; on a
+// single-core host the >1-thread rows only show pool overhead.
 #include "common.h"
 
 #include "planners/dapple.h"
@@ -82,29 +81,26 @@ int main(int argc, char** argv) {
   }
   show_table(t, "fig12_search_time");
 
-  // Thread sweep, one JSON line per (planner, model, threads).
+  // AutoPipe row, then the Piper/DAPPLE thread sweep, per model.
   std::vector<int> sweep{1};
   for (int n = 2; n <= max_threads; n *= 2) sweep.push_back(n);
   if (sweep.back() != max_threads) sweep.push_back(max_threads);
-  std::printf("thread sweep (min of 3 runs; search_ms only, plans are "
-              "identical across thread counts):\n");
+  std::printf("AutoPipe search and Piper/DAPPLE thread sweep (min of 3 "
+              "runs; search_ms only, plans are identical across thread "
+              "counts):\n");
   for (const std::string& model : models) {
     const auto cfg = config_for(model, 8);
     const int m = 512 / 8;
-    double serial_ap = 0, serial_piper = 0, serial_dapple = 0;
-    for (int threads : sweep) {
-      // AutoPipe: the 16-stage planner search itself (the acceptance
-      // criterion's GPT-2 1.3B @ 16 stages row comes from here).
-      core::PlannerOptions popts;
-      popts.threads = threads;
-      core::PlannerResult ap;
-      const double ap_ms =
-          best_of(3, [&] { return (ap = core::plan(cfg, gpus, m, popts))
-                               .search_ms; });
-      if (threads == 1) serial_ap = ap_ms;
-      emit_json("autopipe", model, threads, ap_ms, serial_ap, ap.evaluations,
-                ap.unique_simulations, ap.cache_hits);
+    // AutoPipe: the 16-stage planner search itself (the acceptance
+    // criterion's GPT-2 1.3B @ 16 stages row comes from here).
+    core::PlannerResult ap;
+    const double ap_ms = best_of(
+        3, [&] { return (ap = core::plan(cfg, gpus, m)).search_ms; });
+    emit_json("autopipe", model, 1, ap_ms, ap_ms, ap.evaluations,
+              ap.unique_simulations, ap.cache_hits);
 
+    double serial_piper = 0, serial_dapple = 0;
+    for (int threads : sweep) {
       const double piper_ms = best_of(3, [&] {
         return planners::piper_plan(cfg, gpus, {8, 512, threads}).planning_ms;
       });

@@ -15,8 +15,7 @@
 // override its shape with --layers/--hidden/--heads/--vocab), --mbs, --seq,
 // --warmup, --samples, --inner, --estimator median|trimmed, --trim, --seed,
 // --every-layer (time every layer instead of sharing layer-0 timings),
-// --max-age <seconds>, --gpus, --gbs, --stages, --threads (planner worker
-// threads: 1 = serial, 0 = auto; the plan is identical at any value).
+// --max-age <seconds>, --gpus, --gbs, --stages.
 #include <cstdio>
 #include <string>
 
@@ -112,8 +111,7 @@ int do_plan(const util::Cli& cli, const costmodel::ModelSpec& spec,
   const int gpus = cli.checked_int("gpus", 4, 1, 1 << 20);
   const long gbs = cli.checked_int("gbs", 64, 1, 1 << 30);
   const int stages = cli.checked_int("stages", 0, 0, 1 << 20);
-  const int threads = cli.checked_int("threads", 1, 0, 4096);
-  const core::AutoPipeOptions options{gpus, gbs, stages, true, threads};
+  const core::AutoPipeOptions options{gpus, gbs, stages, true};
 
   core::AutoPipeResult result;
   std::string config_source;
@@ -179,14 +177,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: %s profile|plan|calibrate [--model tiny|<zoo>] "
                  "[--mbs N] [--seq N] [--cache-dir DIR] [--force] "
-                 "[--from-profile[=FILE]] [--gpus N] [--gbs N] [--stages N] "
-                 "[--threads N]\n",
+                 "[--from-profile[=FILE]] [--gpus N] [--gbs N] [--stages N]\n",
                  cli.program().c_str());
     return 2;
   }
   const std::string verb = cli.positional()[0];
   try {
-    // Flag parsing sits inside the try as well: a bad --threads or an
+    // Flag parsing sits inside the try as well: a bad --stages or an
     // unknown --model is a one-line `error:` + exit 1, not a terminate.
     const costmodel::ModelSpec spec = spec_from(cli);
     const costmodel::TrainConfig train{cli.checked_int("mbs", 2, 1, 1 << 20),

@@ -49,9 +49,10 @@
 // dying or blocking).
 //
 // Unsupervised flags: --model <zoo-name> (sim/robust), --gpus N, --mbs N,
-// --gbs N, --threads N. Fault knobs: --seed N, --trials N, --quantile Q,
-// --straggler-prob P, --slowdown X, --spike-prob P, --outage-prob P,
-// --crash-device D, --crash-at MS (sim), --after-ops K (kill). Ckpt knobs:
+// --gbs N, --threads N (robust: Monte-Carlo trial workers). Fault knobs:
+// --seed N, --trials N, --quantile Q, --straggler-prob P, --slowdown X,
+// --spike-prob P, --outage-prob P, --crash-device D, --crash-at MS (sim),
+// --after-ops K (kill). Ckpt knobs:
 // --iters N, --interval K, --kill-at J, --resume, --gpus N.
 //
 // Every verb exits 0 only when its acceptance property held; failures
@@ -553,13 +554,12 @@ int do_sim(const util::Cli& cli) {
   const int gpus = cli.checked_int("gpus", 4, 1, 1 << 20);
   const int mbs = cli.checked_int("mbs", 32, 1, 1 << 20);
   const long gbs = cli.checked_int("gbs", 512, 1, 1 << 30);
-  const int threads = cli.checked_int("threads", 1, 0, 4096);
   const auto seed = static_cast<std::uint64_t>(cli.checked_int("seed", 7, 0,
                                                                1 << 30));
 
   const auto cfg = costmodel::build_model_config(
       costmodel::model_by_name(model), {mbs, 0, true});
-  const auto planned = core::auto_plan(cfg, {gpus, gbs, 0, true, threads});
+  const auto planned = core::auto_plan(cfg, {gpus, gbs, 0, true});
   const core::Schedule& schedule = planned.schedule;
   const int devices = schedule.num_stages;
   const sim::ExecResult nominal = sim::execute(schedule);

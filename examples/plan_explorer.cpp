@@ -67,8 +67,9 @@ int main(int argc, char** argv) try {
   const int gpus = cli.checked_int("gpus", 4, 1, 1 << 20);
   const int mbs = cli.checked_int("mbs", 32, 1, 1 << 20);
   const long gbs = cli.checked_int("gbs", 512, 1, 1 << 30);
-  // Planner worker threads (1 = serial, 0 = auto). Every planner returns
-  // the same plan at any value; only the wall clock changes.
+  // Piper's and DAPPLE's worker threads (1 = serial, 0 = auto); AutoPipe's
+  // search is sequential. Every planner returns the same plan at any value;
+  // only the wall clock changes.
   const int threads = cli.checked_int("threads", 1, 0, 4096);
   const int gpus_per_node = cli.checked_int("gpus-per-node", 4, 1, 1 << 20);
   const std::string topology = cli.get("topology", "uniform");
@@ -127,7 +128,7 @@ int main(int argc, char** argv) try {
   planners::PiperOptions piper{8, gbs, threads};
   piper.comm = comm;
   add("Piper", planners::piper_plan(cfg, gpus, piper));
-  core::AutoPipeOptions ours_opts{gpus, gbs, 0, true, threads};
+  core::AutoPipeOptions ours_opts{gpus, gbs, 0, true};
   ours_opts.comm = comm;
   ours_opts.enable_zero_bubble = cli.has("zero-bubble");
   const auto ours = core::auto_plan(cfg, ours_opts);

@@ -11,9 +11,8 @@
 //
 // Flags: --workers N (concurrent plan requests, default 2), --max-queue N
 // (admission-control backlog bound; a full queue sheds requests with a
-// `busy` reply), --threads N (planner worker threads per search; the plan
-// is identical at any value), --max-memos N / --max-history N (cross-
-// request cache sizes), --warm-max-changed N (auto warm-start drift bound),
+// `busy` reply), --max-memos N / --max-history N (cross-request cache
+// sizes), --warm-max-changed N (auto warm-start drift bound),
 // and the profile source for `source=cache` requests: --cache-dir DIR,
 // --max-age SECONDS, --drift (probe stale entries and re-measure only
 // drifted block kinds), --drift-tolerance F.
@@ -57,7 +56,6 @@ int main(int argc, char** argv) {
     opts.workers = cli.checked_int("workers", 2, 1, 256);
     opts.max_queue = static_cast<std::size_t>(
         cli.checked_int("max-queue", 16, 0, 1 << 20));
-    opts.planner_threads = cli.checked_int("threads", 1, 0, 256);
     opts.max_memos =
         static_cast<std::size_t>(cli.checked_int("max-memos", 8, 0, 4096));
     opts.max_history = static_cast<std::size_t>(

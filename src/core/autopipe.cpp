@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <memory>
 #include <numeric>
 #include <stdexcept>
 
 #include "core/balanced_dp.h"
 #include "core/planner.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 #include "util/stats.h"
 #include "util/table.h"
 
@@ -210,14 +208,6 @@ AutoPipeResult auto_plan(const ModelConfig& config,
   AutoPipeResult best;
   bool has_best = false;
 
-  // One pool serves every depth's planner search (PlannerOptions::pool),
-  // so workers are spawned once per auto_plan call, not once per plan().
-  std::unique_ptr<util::ThreadPool> pool;
-  if (const int threads = util::resolve_threads(options.threads);
-      threads > 1) {
-    pool = std::make_unique<util::ThreadPool>(threads);
-  }
-
   std::vector<int> depths;
   if (options.forced_stages > 0) {
     depths.push_back(options.forced_stages);
@@ -249,7 +239,6 @@ AutoPipeResult auto_plan(const ModelConfig& config,
       popts.feasible = [&config, m](const Partition& p) {
         return partition_fits_memory(config, p, static_cast<int>(m));
       };
-      popts.pool = pool.get();
       popts.comm = comm;
       if (static_cast<int>(options.warm_start.size()) == d) {
         popts.warm_start = Partition{options.warm_start};

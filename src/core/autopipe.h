@@ -89,10 +89,6 @@ struct AutoPipeOptions {
   /// stages").
   int forced_stages = 0;
   bool enable_slicer = true;
-  /// Planner worker threads (PlannerOptions::threads: 1 = serial, 0 = auto,
-  /// N = pool of N). One pool is shared across the whole depth sweep; the
-  /// chosen plan is bit-identical for every value.
-  int threads = 1;
   /// Co-search the schedule kind on the chosen partition: also build the
   /// zero-bubble (split-backward) schedule and keep it when it beats the
   /// sliced-1F1B one *and* the deferred weight-gradient states still fit

@@ -78,31 +78,20 @@ std::vector<Partition> master_shift_candidates(
     const Partition& scheme, int i, const std::vector<double>& loads) {
   std::vector<Partition> candidates;
   if (scheme.counts[i] < 2) return candidates;
-  // (a) first block of stage i -> stage i-1.
-  const Partition moved = move_block(scheme, i, i - 1);
-  candidates.push_back(moved);
-  // Re-balance the stages before the master over their enlarged prefix.
-  const int prefix_blocks = moved.stage_begin(i);
-  if (prefix_blocks >= i) {
-    Partition rebal = moved;
-    const std::vector<int> head =
-        balanced_counts(std::span(loads).subspan(0, prefix_blocks), i);
-    for (int s = 0; s < i; ++s) rebal.counts[s] = head[s];
-    candidates.push_back(std::move(rebal));
-  }
-  // (b) last block of stage i -> stage i+1.
-  if (i + 1 < scheme.num_stages()) {
-    const Partition moved_b = move_block(scheme, i, i + 1);
-    candidates.push_back(moved_b);
-    const int prefix_b = moved_b.stage_begin(i + 1);
-    if (prefix_b >= i + 1) {
-      Partition rebal = moved_b;
-      const std::vector<int> head =
-          balanced_counts(std::span(loads).subspan(0, prefix_b), i + 1);
-      for (int s = 0; s <= i; ++s) rebal.counts[s] = head[s];
-      candidates.push_back(std::move(rebal));
-    }
-  }
+  // Moves a boundary block of stage i to stage `to`, then re-balances the
+  // `head` stages before the move's far side over their (enlarged) prefix.
+  const auto add = [&](int to, int head) {
+    Partition moved = move_block(scheme, i, to);
+    candidates.push_back(moved);
+    const int prefix = moved.stage_begin(head);
+    if (prefix < head) return;
+    const std::vector<int> counts =
+        balanced_counts(std::span(loads).subspan(0, prefix), head);
+    std::copy(counts.begin(), counts.end(), moved.counts.begin());
+    candidates.push_back(std::move(moved));
+  };
+  add(i - 1, i);  // (a) first block of stage i -> stage i-1
+  if (i + 1 < scheme.num_stages()) add(i + 1, i + 1);  // (b) last -> i+1
   return candidates;
 }
 
@@ -115,22 +104,10 @@ struct RankedScheme {
   bool ok = false;  ///< satisfied PlannerOptions::feasible
 };
 
-/// One frontier scheme's work in a wave: its simulation, the optional
-/// cooldown-adjusted scheme, and the simulated master-shift candidates.
-struct Step {
-  Partition scheme;
-  const SimResult* scheme_sim = nullptr;
-  bool adjusted = false;
-  Partition adj;
-  const SimResult* adj_sim = nullptr;
-  std::vector<Partition> candidates;
-  std::vector<const SimResult*> cand_sims;
-};
-
 }  // namespace
 
 Partition cooldown_adjust(const ModelConfig& config, const Partition& start,
-                          int master, int /*micro_batches*/, SimMemo& memo) {
+                          int master, SimMemo& memo) {
   Partition current = start;
   const int n = current.num_stages();
   // Each move shifts one block toward the tail; bounded by blocks * stages.
@@ -151,25 +128,12 @@ Partition cooldown_adjust(const ModelConfig& config, const Partition& start,
 Partition cooldown_adjust(const ModelConfig& config, const Partition& start,
                           int master, int micro_batches) {
   SimMemo memo(config, micro_batches);
-  return cooldown_adjust(config, start, master, micro_batches, memo);
+  return cooldown_adjust(config, start, master, memo);
 }
 
 PlannerResult plan(const ModelConfig& config, int stages, int micro_batches,
                    const PlannerOptions& options) {
   const auto t0 = std::chrono::steady_clock::now();
-
-  // threads == 1 runs the identical wave algorithm inline (pool == null);
-  // the wave composition never depends on the worker count, so the result
-  // is bit-identical for every thread count.
-  util::ThreadPool* pool = options.pool;
-  std::unique_ptr<util::ThreadPool> owned;
-  if (pool == nullptr) {
-    const int threads = util::resolve_threads(options.threads);
-    if (threads > 1) {
-      owned = std::make_unique<util::ThreadPool>(threads);
-      pool = owned.get();
-    }
-  }
 
   // The comm model every simulation and re-ranking schedule prices hops
   // with; the unset default reproduces the scalar config.comm_ms exactly.
@@ -187,18 +151,6 @@ PlannerResult plan(const ModelConfig& config, int stages, int micro_batches,
   bool has_best = false;
   bool best_feasible = false;
   std::uint64_t best_hash = 0;
-  Partition fallback;      // time-optimal regardless of feasibility
-  SimResult fallback_sim;
-  std::uint64_t fallback_hash = 0;
-  bool has_fallback = false;
-
-  // Explicit total order on schemes: iteration time, then scheme hash.
-  // Every evaluated scheme passes through this reduction in a fixed order,
-  // so the winner does not depend on which thread simulated what first.
-  const auto better = [](double ms, std::uint64_t h, double best_ms,
-                         std::uint64_t best_h) {
-    return ms < best_ms || (ms == best_ms && h < best_h);
-  };
   // Top-K schemes for robustness re-ranking, kept sorted by the same total
   // order the best-scheme selection uses (feasible first, then time, then
   // hash); with a total order, the retained K-set is independent of the
@@ -214,22 +166,12 @@ PlannerResult plan(const ModelConfig& config, int stages, int micro_batches,
   };
   auto consider = [&](const Partition& p, const SimResult& sim) {
     const std::uint64_t h = scheme_hash(p);
-    if (!has_fallback || better(sim.iteration_ms, h, fallback_sim.iteration_ms,
-                                fallback_hash)) {
-      has_fallback = true;
-      fallback = p;
-      fallback_sim = sim;
-      fallback_hash = h;
-    }
     const bool ok = !options.feasible || options.feasible(p);
     if (keep > 0) {
       // A scheme can be considered twice (as a wave member and earlier as a
       // candidate); the hash dedupes it.
-      const bool seen = std::any_of(ranked.begin(), ranked.end(),
-                                    [&](const RankedScheme& r) {
-                                      return r.hash == h;
-                                    });
-      if (!seen) {
+      if (std::none_of(ranked.begin(), ranked.end(),
+                       [&](const RankedScheme& r) { return r.hash == h; })) {
         RankedScheme r{p, sim, h, ok};
         const auto pos =
             std::upper_bound(ranked.begin(), ranked.end(), r, ranked_before);
@@ -238,10 +180,12 @@ PlannerResult plan(const ModelConfig& config, int stages, int micro_batches,
       }
     }
     // Feasible schemes strictly dominate infeasible ones; among equals the
-    // (time, hash) order decides.
+    // (iteration time, scheme hash) order decides. With no feasible scheme
+    // the winner is thus the time-optimal one, the documented fallback.
     if (!has_best || (ok && !best_feasible) ||
         (ok == best_feasible &&
-         better(sim.iteration_ms, h, result.sim.iteration_ms, best_hash))) {
+         (sim.iteration_ms < result.sim.iteration_ms ||
+          (sim.iteration_ms == result.sim.iteration_ms && h < best_hash)))) {
       has_best = true;
       best_feasible = ok;
       result.partition = p;
@@ -252,16 +196,9 @@ PlannerResult plan(const ModelConfig& config, int stages, int micro_batches,
 
   std::set<std::vector<int>> visited;
   std::vector<Partition> frontier;
-  // The cold seed always leads the first wave, so the warm search's
-  // considered set is a strict superset of the cold search's: a warm
-  // re-plan can never return a worse scheme than the cold search would
-  // (and returns a different one only when the prior plan's neighborhood
-  // holds a strictly better scheme the cold descent misses).
+  // The cold seed always leads the first wave; a usable warm seed joins it
+  // (PlannerOptions::warm_start).
   frontier.push_back(balanced_partition(config, stages));
-  // Warm start: additionally seed the wave search from a prior plan. After
-  // a small profile drift the prior plan sits inside (or next to) the new
-  // optimum's basin, so its descent terminates in a wave or two; an
-  // unusable seed (wrong depth/block count) is ignored.
   if (options.warm_start && options.warm_start->num_stages() == stages) {
     const Partition& seed = *options.warm_start;
     const bool usable =
@@ -275,103 +212,58 @@ PlannerResult plan(const ModelConfig& config, int stages, int micro_batches,
     }
   }
 
+  // Frontier waves, walked in order. The whole wave is marked visited
+  // before any of its schemes runs, so candidates are filtered against the
+  // wave-start set; each scheme's results are considered in the order
+  // scheme, cooldown-adjusted scheme, candidates, each checked against
+  // `max_evaluations` before it is simulated.
   while (!frontier.empty() && evals < options.max_evaluations) {
-    // Wave = the current frontier, deduplicated in order.
-    std::vector<Step> steps;
-    steps.reserve(frontier.size());
+    std::vector<Partition> wave;
     for (Partition& p : frontier) {
-      if (visited.insert(p.counts).second) {
-        Step st;
-        st.scheme = std::move(p);
-        steps.push_back(std::move(st));
-      }
+      if (visited.insert(p.counts).second) wave.push_back(std::move(p));
     }
     frontier.clear();
-    if (steps.empty()) break;
 
-    // Phase 1 (parallel over schemes): simulate, cooldown-adjust (Step 2,
-    // Eq. (1)), and generate the master-stage candidate set. `visited` is
-    // only read during the wave, so the snapshot filter is race-free.
-    util::parallel_for(pool, static_cast<int>(steps.size()), [&](int idx) {
-      Step& st = steps[static_cast<std::size_t>(idx)];
-      st.scheme_sim = &memo.get(st.scheme);
-      const Partition adjusted = cooldown_adjust(
-          config, st.scheme, st.scheme_sim->master_stage, micro_batches, memo);
-      const SimResult* sim = st.scheme_sim;
-      const Partition* base = &st.scheme;
-      if (!(adjusted == st.scheme)) {
-        st.adjusted = true;
-        st.adj = adjusted;
-        st.adj_sim = &memo.get(st.adj);
-        sim = st.adj_sim;
-        base = &st.adj;
-      }
-      if (sim->master_stage > 0) {  // step 3 terminates at the first stage
-        st.candidates = master_shift_candidates(*base, sim->master_stage, loads);
-        std::erase_if(st.candidates, [&](const Partition& c) {
-          return visited.count(c.counts) > 0;
-        });
-      }
-      st.cand_sims.resize(st.candidates.size());
-    });
-
-    // Phase 2 (parallel over all candidates of the wave): the fan-out of
-    // the master-stage candidate set. Duplicates across steps collapse in
-    // the memo.
-    std::vector<std::pair<int, int>> flat;
-    for (std::size_t s = 0; s < steps.size(); ++s) {
-      for (std::size_t c = 0; c < steps[s].candidates.size(); ++c) {
-        flat.emplace_back(static_cast<int>(s), static_cast<int>(c));
-      }
-    }
-    util::parallel_for(pool, static_cast<int>(flat.size()), [&](int idx) {
-      const auto [s, c] = flat[static_cast<std::size_t>(idx)];
-      steps[s].cand_sims[c] = &memo.get(steps[s].candidates[c]);
-    });
-
-    // Phase 3 (sequential, wave order): best-scheme reduction, evaluation
-    // budget, and the next frontier. Past the budget, computed results are
-    // discarded unseen -- the budget cut-off point is order-defined, hence
-    // thread-count independent.
-    bool exhausted = false;
-    for (Step& st : steps) {
+    for (const Partition& scheme : wave) {
       if (evals >= options.max_evaluations) break;
       ++evals;
-      consider(st.scheme, *st.scheme_sim);
-      const SimResult* sim = st.scheme_sim;
-      if (st.adjusted) {
+      const SimResult* sim = &memo.get(scheme);
+      consider(scheme, *sim);
+      // Step 2: remove Cooldown bubbles by enforcing Eq. (1).
+      const Partition base =
+          cooldown_adjust(config, scheme, sim->master_stage, memo);
+      if (!(base == scheme)) {
         if (evals >= options.max_evaluations) break;
         ++evals;
-        consider(st.adj, *st.adj_sim);
-        sim = st.adj_sim;
+        sim = &memo.get(base);
+        consider(base, *sim);
       }
+      // Step 3 terminates at the first stage.
       const int i = sim->master_stage;
-      for (std::size_t k = 0; k < st.candidates.size(); ++k) {
-        if (evals >= options.max_evaluations) {
-          exhausted = true;
-          break;
-        }
+      if (i == 0) continue;
+      for (Partition& c : master_shift_candidates(base, i, loads)) {
+        if (visited.count(c.counts) > 0) continue;
+        if (evals >= options.max_evaluations) break;
         ++evals;
-        consider(st.candidates[k], *st.cand_sims[k]);
-        if (st.cand_sims[k]->master_stage <= i) {
-          frontier.push_back(std::move(st.candidates[k]));
-        }
+        const SimResult& c_sim = memo.get(c);
+        consider(c, c_sim);
+        if (c_sim.master_stage <= i) frontier.push_back(std::move(c));
       }
-      if (exhausted) break;
     }
   }
 
   result.feasible = best_feasible || !options.feasible;
-  if (!result.feasible && has_fallback) {
-    result.partition = fallback;
-    result.sim = fallback_sim;
-  }
 
   // Robustness re-ranking: Monte-Carlo each retained scheme's 1F1B schedule
   // under the identical seeded fault scenarios and let the ranking quantile
   // pick the winner. Candidates run sequentially in their fixed order; the
-  // trial fan-out inside evaluate_robustness uses the pool.
+  // trial fan-out inside evaluate_robustness uses `threads` workers.
   if (keep > 0 && !ranked.empty()) {
+    std::unique_ptr<util::ThreadPool> pool;
+    if (const int threads = util::resolve_threads(options.threads);
+        threads > 1) {
+      pool = std::make_unique<util::ThreadPool>(threads);
+    }
     // Never let an infeasible scheme beat a feasible one on robustness.
     if (ranked.front().ok) {
       std::erase_if(ranked, [](const RankedScheme& r) { return !r.ok; });
@@ -382,7 +274,7 @@ PlannerResult plan(const ModelConfig& config, int stages, int micro_batches,
       const auto costs = stage_costs(config, ranked[k].partition);
       const Schedule schedule = build_1f1b(costs, micro_batches, comm);
       const faults::RobustnessReport report = faults::evaluate_robustness(
-          schedule, sim::ExecOptions{}, options.robustness, pool);
+          schedule, sim::ExecOptions{}, options.robustness, pool.get());
       if (best_idx < 0 || report.score_ms < best_report.score_ms ||
           (report.score_ms == best_report.score_ms &&
            ranked[k].hash < ranked[static_cast<std::size_t>(best_idx)].hash)) {

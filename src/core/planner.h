@@ -15,13 +15,11 @@
 // time, scheme_hash) -- the hash tie-break plus a fixed candidate ordering
 // make the result independent of evaluation order.
 //
-// The search runs as a sequence of frontier waves. Within a wave every
-// scheme's step (simulate + cooldown + candidate generation) and every
-// generated candidate's simulation fan out across a thread pool; the
-// best-scheme reduction then replays the wave in its fixed order on the
-// calling thread. Simulations are pure and memoized (SimMemo), so the
-// returned PlannerResult is bit-identical for every `threads` value,
-// including 1 (which also runs the waves, just inline).
+// The search walks frontier waves in order on the calling thread: a wave
+// is the deduplicated set of schemes the previous wave's candidates
+// recursed into. The master stage prunes it to a handful of simulations
+// (Fig. 12), so the descent is one sequential loop; SimMemo dedupes the
+// schemes the move/re-balance candidates regenerate.
 #pragma once
 
 #include <atomic>
@@ -37,19 +35,18 @@
 #include "core/simulator.h"
 #include "faults/robustness.h"
 
-namespace autopipe::util {
-class ThreadPool;
-}
-
 namespace autopipe::core {
 
 /// Thread-safe, single-flight memoization of simulate_pipeline() results
 /// keyed by the partition scheme (hashed with scheme_hash). "Single-flight"
 /// means concurrent lookups of the same scheme simulate it exactly once --
 /// the first caller computes, the rest wait on its shared_future -- so the
-/// miss count equals the number of unique schemes touched regardless of the
-/// thread count. The move/re-balance candidates of the planner re-generate
-/// duplicate schemes constantly, which is what makes the cache pay off.
+/// miss count equals the number of unique schemes touched. One plan() call
+/// looks schemes up from a single thread; the plan service's workers share
+/// one memo per (config, micro-batches) across concurrent requests, which
+/// is what the locking is for. The move/re-balance candidates of the
+/// planner re-generate duplicate schemes constantly, which is what makes
+/// the cache pay off.
 class SimMemo {
  public:
   SimMemo(const ModelConfig& config, int micro_batches)
@@ -91,36 +88,27 @@ struct PlannerOptions {
   /// Optional feasibility predicate (e.g. the per-stage memory model):
   /// infeasible schemes still steer the heuristic but are never returned
   /// as the best. If nothing feasible is found the time-optimal scheme is
-  /// returned with `feasible = false` in the result. Only invoked from the
-  /// calling thread (during the sequential reduction), so it need not be
-  /// thread-safe.
+  /// returned with `feasible = false` in the result. Invoked only from the
+  /// calling thread.
   std::function<bool(const Partition&)> feasible;
-  /// Worker threads for the wave fan-out: 1 = inline/serial (default),
-  /// 0 = hardware concurrency, N = a pool of N workers. The result is
-  /// bit-identical for every value.
+  /// Worker threads for the robustness re-rank's Monte-Carlo trials (1 =
+  /// inline, the default; 0 = hardware concurrency; N = a pool of N built
+  /// only when `robustness` is enabled). The search itself is sequential,
+  /// and the result is bit-identical for every value.
   int threads = 1;
-  /// Optional externally owned pool, reused across plan() calls (e.g. the
-  /// auto_plan depth sweep shares one). Overrides `threads` when set.
-  util::ThreadPool* pool = nullptr;
   /// Per-boundary communication model used by every simulation and by the
   /// robustness re-ranking schedules. Unset = uniform at config.comm_ms,
   /// which reproduces the historical scalar arithmetic bit-for-bit.
   std::optional<costmodel::CommModel> comm = std::nullopt;
-  /// Warm start for incremental re-planning: additionally seed the wave
-  /// search from a previously planned partition (typically the plan served
-  /// for a config that differs only in a few block profiles). The prior
-  /// plan joins the first wave *behind* the Algorithm 1 balanced seed, so
-  /// the warm search's considered set is a strict superset of the cold
-  /// search's: under the planner's total order the warm result is NEVER
-  /// worse than the cold result, and differs only when the prior plan's
-  /// neighborhood holds a strictly better scheme the cold descent misses
-  /// (the ServiceFuzz never-worse property pins this over seeded profile
-  /// perturbations). A converged seed's own descent terminates within a
-  /// wave or two, so the extra cost is a handful of memoized simulations.
-  /// The search stays a pure function of (config, stages, micro-batches,
-  /// options) -- bit-identical for every thread count and memo state. A
-  /// seed that does not fit the config/stages is ignored (cold search,
-  /// `warm_started = false` in the result).
+  /// Warm start for incremental re-planning: additionally seed the search
+  /// from a previously planned partition (typically the plan served for a
+  /// config that differs only in a few block profiles). The prior plan
+  /// joins the first wave *behind* the Algorithm 1 balanced seed, so the
+  /// warm search considers a strict superset of the cold search's schemes
+  /// and, under the planner's total order, is NEVER worse than it
+  /// (ServiceFuzz pins this). A converged seed's descent ends within a wave
+  /// or two. A seed that does not fit the config/stages is ignored (cold
+  /// search, `warm_started = false` in the result).
   std::optional<Partition> warm_start;
   /// Optional externally owned simulation memo shared across plan() calls
   /// (the plan service keys one per (config, micro-batches) so repeated
@@ -136,8 +124,8 @@ struct PlannerOptions {
   /// `robustness.dist` straggler/link noise, and returns the scheme with
   /// the lowest `robustness.quantile` iteration time instead of the lowest
   /// nominal time. Every candidate sees the identical fault scenarios
-  /// (common random numbers), so the ranking is a paired comparison and --
-  /// like the rest of the search -- bit-identical for every thread count.
+  /// (common random numbers), so the ranking is a paired comparison and
+  /// bit-identical for every `threads` value.
   faults::RobustnessOptions robustness;
 };
 
@@ -167,8 +155,9 @@ Partition cooldown_adjust(const ModelConfig& config, const Partition& start,
                           int master, int micro_batches);
 
 /// Memoized flavour used inside plan(): identical result, but intermediate
-/// simulations go through (and populate) `memo`.
+/// simulations go through (and populate) `memo`, which fixes the
+/// micro-batch count.
 Partition cooldown_adjust(const ModelConfig& config, const Partition& start,
-                          int master, int micro_batches, SimMemo& memo);
+                          int master, SimMemo& memo);
 
 }  // namespace autopipe::core

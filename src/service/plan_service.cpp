@@ -245,7 +245,6 @@ std::string PlanService::handle_plan(const PlanRequest& req) {
     // pool evicts them concurrently.
     std::vector<std::shared_ptr<MemoEntry>> pinned;
     SolveHooks hooks;
-    hooks.threads = options_.planner_threads;
     hooks.memo_provider = [this, digest, config_sp, &pinned](
                               const costmodel::ModelConfig& cfg,
                               int micro_batches,

@@ -42,7 +42,10 @@ namespace autopipe::service {
 struct ServiceOptions {
   int workers = 2;             ///< concurrent plan requests
   std::size_t max_queue = 16;  ///< backlog bound before `busy` shedding
-  int planner_threads = 1;     ///< threads inside each planner search
+  /// Ignored: the planner search is sequential. The field stays only
+  /// because the repository benchmark's plan-cold workload still assigns
+  /// it; it goes once that assignment does.
+  int planner_threads = 1;
   std::size_t max_memos = 8;   ///< live (config, m) memo entries
   std::size_t max_history = 256;  ///< remembered plans (FIFO eviction)
   /// Auto warm-start bound: seed from the family's last plan only when at

@@ -288,7 +288,6 @@ Solved solve_plan(const PlanRequest& req, const costmodel::ModelConfig& config,
   options.global_batch = req.global_batch;
   options.forced_stages = req.stages;
   options.enable_slicer = req.slicer;
-  options.threads = hooks.threads;
   options.warm_start = warm_hint;
   options.memo_provider = hooks.memo_provider;
 

@@ -105,10 +105,9 @@ void apply_perturbs(costmodel::ModelConfig& config,
                     const std::vector<BlockPerturb>& perturbs);
 
 /// Performance-only knobs threaded into the solver: they never change the
-/// canonical bytes (simulations are pure and memoized; threads only fan the
-/// same waves out).
+/// canonical bytes (simulations are pure, so a shared memo only skips
+/// repeated work).
 struct SolveHooks {
-  int threads = 1;
   std::function<core::SimMemo*(const costmodel::ModelConfig& config,
                                int micro_batches,
                                const costmodel::CommModel& comm)>

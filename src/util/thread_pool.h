@@ -1,12 +1,12 @@
 // Fixed-size worker thread pool with futures and exception propagation.
 //
-// Built for the planner's deterministic parallel search: tasks are pure
-// functions whose results are reduced in a caller-defined order, so the
-// pool guarantees nothing about completion order -- only that every
-// submitted task runs exactly once and that an exception thrown inside a
-// task surfaces from the corresponding future's get(). A pool is reusable
-// across independent task batches (e.g. successive plan() calls share one
-// pool via PlannerOptions::pool).
+// Built for deterministic parallel searches (Piper's and DAPPLE's scoring,
+// the Monte-Carlo robustness trials): tasks are pure functions whose
+// results are reduced in a caller-defined order, so the pool guarantees
+// nothing about completion order -- only that every submitted task runs
+// exactly once and that an exception thrown inside a task surfaces from
+// the corresponding future's get(). A pool is reusable across independent
+// task batches.
 #pragma once
 
 #include <condition_variable>

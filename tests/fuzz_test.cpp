@@ -5,12 +5,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdio>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "core/autopipe.h"
 #include "core/balanced_dp.h"
 #include "core/planner.h"
 #include "core/slicer.h"
+#include "costmodel/topology.h"
 #include "faults/fault_plan.h"
 #include "faults/sdc.h"
 #include "model/data.h"
@@ -58,15 +63,59 @@ costmodel::ModelConfig random_config(util::Rng& rng, int layers) {
   return cfg;
 }
 
+/// One PlannerFuzz input: a random config plus a depth and micro-batch
+/// count drawn from the same stream.
+struct FuzzShape {
+  costmodel::ModelConfig cfg;
+  int depth = 0;
+  int m = 0;
+};
+
+FuzzShape fuzz_shape(std::uint64_t seed) {
+  util::Rng rng(seed);
+  FuzzShape shape;
+  const int layers = 3 + static_cast<int>(rng.next_below(12));
+  shape.cfg = random_config(rng, layers);
+  const int max_depth = std::min(8, shape.cfg.num_blocks());
+  shape.depth = 2 + static_cast<int>(rng.next_below(max_depth - 1));
+  shape.m = shape.depth + static_cast<int>(rng.next_below(2 * shape.depth));
+  return shape;
+}
+
+// Exact outputs of core::plan() and of the plan service's offline solver
+// on fixed inputs, recorded from the wave-parallel search before its
+// descent became one sequential loop. A row holds the winning counts, the
+// bits of the simulated iteration, startup and robustness-score times, the
+// master stage, the evaluation and memo accounting, and the feasibility
+// and warm-start flags. On a mismatch gtest prints the actual rows;
+// re-record only with a stated reason.
+unsigned long long bits(double x) {
+  return std::bit_cast<unsigned long long>(x);
+}
+
+std::string golden_row(const std::string& name, const core::PlannerResult& r,
+                       bool with_memo = true) {
+  std::string row = name + " counts=";
+  for (int c : r.partition.counts) row += std::to_string(c) + ",";
+  char buf[192];
+  std::snprintf(buf, sizeof(buf),
+                " iter=%016llx startup=%016llx score=%016llx master=%d "
+                "evals=%d feasible=%d warm=%d",
+                bits(r.sim.iteration_ms), bits(r.sim.startup_ms),
+                bits(r.robustness.score_ms), r.sim.master_stage,
+                r.evaluations, r.feasible, r.warm_started);
+  row += buf;
+  if (with_memo) {
+    row += " sims=" + std::to_string(r.unique_simulations) +
+           " hits=" + std::to_string(r.cache_hits);
+  }
+  return row;
+}
+
 class PlannerFuzz : public testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(PlannerFuzz, FullPipelineInvariantsHold) {
-  util::Rng rng(GetParam());
-  const int layers = 3 + static_cast<int>(rng.next_below(12));
-  const auto cfg = random_config(rng, layers);
-  const int max_depth = std::min(8, cfg.num_blocks());
-  const int depth = 2 + static_cast<int>(rng.next_below(max_depth - 1));
-  const int m = depth + static_cast<int>(rng.next_below(2 * depth));
+  const auto [cfg, depth, m] = fuzz_shape(GetParam());
 
   // Planner: valid output, never worse than its Algorithm-1 seed.
   const auto planned = core::plan(cfg, depth, m);
@@ -110,55 +159,161 @@ TEST_P(PlannerFuzz, FullPipelineInvariantsHold) {
 }
 
 TEST_P(PlannerFuzz, PlanIsBitIdenticalAcrossThreadCounts) {
-  // The tentpole's acceptance gate: the parallel search is a deterministic
-  // algorithm whose waves never depend on the worker count, so plan() must
-  // return a bit-identical PlannerResult for threads 1, 2 and 8 -- same
-  // partition scheme, same (exact, not approximate) iteration time, same
-  // master stage, and same evaluation accounting.
-  util::Rng rng(GetParam() * 7919 + 13);
-  const int layers = 3 + static_cast<int>(rng.next_below(12));
-  const auto cfg = random_config(rng, layers);
-  const int max_depth = std::min(8, cfg.num_blocks());
-  const int depth = 2 + static_cast<int>(rng.next_below(max_depth - 1));
-  const int m = depth + static_cast<int>(rng.next_below(2 * depth));
-
+  // PlannerOptions::threads sizes the Monte-Carlo re-rank's trial pool (the
+  // descent itself is sequential). The trials use common random numbers
+  // and reduce in trial order, so the robust winner, its score and the
+  // search accounting are bit-identical for threads 1, 2 and 8.
+  const auto [cfg, depth, m] = fuzz_shape(GetParam() * 7919 + 13);
   core::PlannerOptions serial;
-  serial.threads = 1;
+  serial.robustness.trials = 16;
+  serial.robustness.seed = GetParam();
+  serial.robustness.candidates = 3;
   const auto base = core::plan(cfg, depth, m, serial);
+  ASSERT_TRUE(base.robust_ranked);
   for (int threads : {2, 8}) {
-    core::PlannerOptions opts;
+    core::PlannerOptions opts = serial;
     opts.threads = threads;
-    const auto r = core::plan(cfg, depth, m, opts);
-    EXPECT_EQ(r.partition.counts, base.partition.counts)
+    EXPECT_EQ(golden_row("", core::plan(cfg, depth, m, opts)),
+              golden_row("", base))
         << "threads " << threads;
-    EXPECT_EQ(r.sim.iteration_ms, base.sim.iteration_ms)  // bitwise equality
-        << "threads " << threads;
-    EXPECT_EQ(r.sim.master_stage, base.sim.master_stage)
-        << "threads " << threads;
-    EXPECT_EQ(r.evaluations, base.evaluations) << "threads " << threads;
-    EXPECT_EQ(r.unique_simulations, base.unique_simulations)
-        << "threads " << threads;
-    EXPECT_EQ(r.cache_hits, base.cache_hits) << "threads " << threads;
-    EXPECT_EQ(r.feasible, base.feasible) << "threads " << threads;
   }
-
-  // Same property under a feasibility predicate (the memory-aware path).
-  core::PlannerOptions constrained_serial;
-  constrained_serial.threads = 1;
-  constrained_serial.feasible = [&](const core::Partition& p) {
-    return core::partition_fits_memory(cfg, p, m);
-  };
-  const auto cbase = core::plan(cfg, depth, m, constrained_serial);
-  core::PlannerOptions constrained = constrained_serial;
-  constrained.threads = 8;
-  const auto cr = core::plan(cfg, depth, m, constrained);
-  EXPECT_EQ(cr.partition.counts, cbase.partition.counts);
-  EXPECT_EQ(cr.sim.iteration_ms, cbase.sim.iteration_ms);
-  EXPECT_EQ(cr.feasible, cbase.feasible);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomModels, PlannerFuzz,
                          testing::Range<std::uint64_t>(1, 21));
+
+FuzzShape zoo_shape(const char* model, int mbs, int depth, int m) {
+  return {costmodel::build_model_config(costmodel::model_by_name(model),
+                                        {mbs, 0, true}),
+          depth, m};
+}
+
+TEST(PlannerGolden, SearchesMatchRecordedBits) {
+  std::vector<std::string> rows;
+  const auto run = [&](const std::string& name, const FuzzShape& s,
+                       const core::PlannerOptions& opts = {}) {
+    rows.push_back(golden_row(name, core::plan(s.cfg, s.depth, s.m, opts)));
+  };
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    run("fuzz/" + std::to_string(seed), fuzz_shape(seed));
+  }
+  // Forbidding the unconstrained winner steers the search elsewhere.
+  const FuzzShape s4 = fuzz_shape(4);
+  const core::Partition best4 = core::plan(s4.cfg, s4.depth, s4.m).partition;
+  core::PlannerOptions forbid;
+  forbid.feasible = [&](const core::Partition& p) { return !(p == best4); };
+  run("feasible", s4, forbid);
+  // Nothing feasible: the time-optimal scheme comes back, flagged.
+  forbid.feasible = [](const core::Partition&) { return false; };
+  run("infeasible", s4, forbid);
+  // Warm start from the plan of the same config before two blocks drifted.
+  for (std::uint64_t seed : {5, 15}) {
+    FuzzShape s = fuzz_shape(seed);
+    core::PlannerOptions warm;
+    warm.warm_start = core::plan(s.cfg, s.depth, s.m).partition;
+    s.cfg.blocks[1].fwd_ms *= 1.3;
+    s.cfg.blocks[s.cfg.blocks.size() / 2].bwd_ms *= 0.8;
+    run("warm/" + std::to_string(seed), s, warm);
+  }
+  // Topology pricing with the paper cluster's links.
+  const FuzzShape big = zoo_shape("gpt2-1.3b", 8, 5, 12);
+  core::PlannerOptions priced;
+  priced.comm = costmodel::CommModel::from_topology(
+      costmodel::paper_cluster(), 0, costmodel::activation_bytes(big.cfg));
+  run("comm", big, priced);
+  // Monte-Carlo robustness re-rank.
+  core::PlannerOptions robust;
+  robust.robustness.trials = 32;
+  robust.robustness.seed = 5;
+  robust.robustness.candidates = 3;
+  run("robust/gpt2-345m", zoo_shape("gpt2-345m", 4, 4, 8), robust);
+  run("robust/6", fuzz_shape(6), robust);
+  // Budget cut: the wave search simulated the rest of the cut wave before
+  // discarding it, so its simulation counts bound these from above.
+  core::PlannerOptions budget;
+  budget.max_evaluations = 3;
+  std::vector<int> budget_sims;
+  for (std::uint64_t seed : {1, 3, 4, 5, 15, 16}) {
+    const FuzzShape s = fuzz_shape(seed);
+    const auto r = core::plan(s.cfg, s.depth, s.m, budget);
+    rows.push_back(golden_row("budget/" + std::to_string(seed), r, false));
+    budget_sims.push_back(r.unique_simulations);
+  }
+  const std::vector<std::string> recorded = {
+      "fuzz/1 counts=6,4, iter=406e48bfdb5fa68e startup=4025ff1930514e02 score=0000000000000000 master=1 evals=4 feasible=1 warm=0 sims=2 hits=2",
+      "fuzz/2 counts=5,4,5,4,2,4,4,2, iter=4088df2f9f315707 startup=404b186069f29571 score=0000000000000000 master=5 evals=2 feasible=1 warm=0 sims=2 hits=1",
+      "fuzz/3 counts=5,4,4,4,4,3, iter=4083c344d69f78c2 startup=40444feeda202a66 score=0000000000000000 master=4 evals=34 feasible=1 warm=0 sims=22 hits=20",
+      "fuzz/4 counts=14,10,6, iter=4072e81fec24cf74 startup=4043dd3b003cf91d score=0000000000000000 master=2 evals=17 feasible=1 warm=0 sims=8 hits=9",
+      "fuzz/5 counts=12,6, iter=406131b6e91cc050 startup=4031742c487ab993 score=0000000000000000 master=1 evals=19 feasible=1 warm=0 sims=7 hits=12",
+      "fuzz/6 counts=2,3,3,1,1, iter=406151dd73292fc9 startup=402b09a3c11266e6 score=0000000000000000 master=1 evals=14 feasible=1 warm=0 sims=9 hits=6",
+      "fuzz/7 counts=3,3,2,3,3,5,1, iter=407788279714b19e startup=40407674e443bb3e score=0000000000000000 master=6 evals=1 feasible=1 warm=0 sims=1 hits=0",
+      "fuzz/8 counts=11,11, iter=4079b89ec8db3120 startup=40334e628bfc1bba score=0000000000000000 master=0 evals=1 feasible=1 warm=0 sims=1 hits=0",
+      "fuzz/9 counts=11,7,6, iter=4076d8f32f65a9a8 startup=40394f968606bf56 score=0000000000000000 master=1 evals=7 feasible=1 warm=0 sims=4 hits=4",
+      "fuzz/10 counts=4,3,2,1, iter=4069c6f4995baa2a startup=402c2e03cfa8e0d7 score=0000000000000000 master=1 evals=6 feasible=1 warm=0 sims=3 hits=3",
+      "fuzz/11 counts=9,7,6, iter=4080147cb5d80d37 startup=403d9d285b9c627b score=0000000000000000 master=0 evals=2 feasible=1 warm=0 sims=2 hits=1",
+      "fuzz/12 counts=2,1,2,1,1,2,1, iter=4062ee442c8dbb7a startup=4031b15bc2f9e5b6 score=0000000000000000 master=3 evals=2 feasible=1 warm=0 sims=2 hits=1",
+      "fuzz/13 counts=4,5,5,4,2, iter=406db820bd4a5523 startup=403bc463e1d813c9 score=0000000000000000 master=4 evals=12 feasible=1 warm=0 sims=6 hits=6",
+      "fuzz/14 counts=3,3,3,1, iter=406626df4be6cab0 startup=402e5a659477f379 score=0000000000000000 master=3 evals=1 feasible=1 warm=0 sims=1 hits=0",
+      "fuzz/15 counts=6,4,4,4,3,1, iter=4073ffdb49a7777c startup=403faedc2da647c5 score=0000000000000000 master=4 evals=18 feasible=1 warm=0 sims=11 hits=8",
+      "fuzz/16 counts=3,2,2,2,2,1, iter=406b2ee7261acd5c startup=4033d17dc9783626 score=0000000000000000 master=4 evals=20 feasible=1 warm=0 sims=13 hits=10",
+      "fuzz/17 counts=1,1,2,1,1,3,2,1, iter=4076a8190102d67c startup=4032667e33562587 score=0000000000000000 master=7 evals=1 feasible=1 warm=0 sims=1 hits=0",
+      "fuzz/18 counts=8,7,5,6, iter=407144e877550754 startup=40416c45f6aa3cda score=0000000000000000 master=3 evals=13 feasible=1 warm=0 sims=7 hits=6",
+      "fuzz/19 counts=8,5,5,6,4, iter=407cac9b058b7959 startup=4044b9d014b4745e score=0000000000000000 master=3 evals=7 feasible=1 warm=0 sims=4 hits=4",
+      "fuzz/20 counts=3,3,2, iter=406fdda3ac3db7df startup=4029d2373284a4c3 score=0000000000000000 master=1 evals=6 feasible=1 warm=0 sims=3 hits=3",
+      "feasible counts=14,11,5, iter=40733372e1157fe5 startup=40454dbc3a79788e score=0000000000000000 master=1 evals=17 feasible=1 warm=0 sims=8 hits=9",
+      "infeasible counts=14,10,6, iter=4072e81fec24cf74 startup=4043dd3b003cf91d score=0000000000000000 master=2 evals=17 feasible=0 warm=0 sims=8 hits=9",
+      "warm/5 counts=12,6, iter=406130a4ab619704 startup=403235d604916ae7 score=0000000000000000 master=1 evals=17 feasible=1 warm=1 sims=7 hits=10",
+      "warm/15 counts=6,5,3,4,3,1, iter=4074006d50ad846e startup=4040407bc7b1474b score=0000000000000000 master=4 evals=44 feasible=1 warm=1 sims=24 hits=26",
+      "comm counts=11,10,11,10,8, iter=40c5a1d389bcfe7f startup=40853b2cbd502ff1 score=0000000000000000 master=2 evals=6 feasible=1 warm=0 sims=4 hits=3",
+      "robust/gpt2-345m counts=14,14,13,9, iter=4096594cc953a8f6 startup=4058553754dbaa3d score=409bd3cef50187cb master=1 evals=2 feasible=1 warm=0 sims=2 hits=1",
+      "robust/6 counts=2,2,3,2,1, iter=4061562c9556f1f9 startup=402b09a3c11266e6 score=40647d1a59b96b95 master=3 evals=14 feasible=1 warm=0 sims=9 hits=6",
+      "budget/1 counts=6,4, iter=406e48bfdb5fa68e startup=4025ff1930514e02 score=0000000000000000 master=1 evals=3 feasible=1 warm=0",
+      "budget/3 counts=5,4,4,4,4,3, iter=4083c344d69f78c2 startup=40444feeda202a66 score=0000000000000000 master=4 evals=3 feasible=1 warm=0",
+      "budget/4 counts=13,11,6, iter=4073458446d59c04 startup=4043dd3b003cf91c score=0000000000000000 master=2 evals=3 feasible=1 warm=0",
+      "budget/5 counts=10,8, iter=4061ea85272e6f64 startup=402df21856e0658c score=0000000000000000 master=1 evals=3 feasible=1 warm=0",
+      "budget/15 counts=6,4,4,4,3,1, iter=4073ffdb49a7777c startup=403faedc2da647c5 score=0000000000000000 master=4 evals=3 feasible=1 warm=0",
+      "budget/16 counts=3,2,2,2,2,1, iter=406b2ee7261acd5c startup=4033d17dc9783626 score=0000000000000000 master=4 evals=3 feasible=1 warm=0",
+  };
+  EXPECT_EQ(rows, recorded);
+  const std::vector<int> wave_sims = {2, 5, 3, 2, 4, 5};
+  for (std::size_t i = 0; i < wave_sims.size(); ++i) {
+    EXPECT_LE(budget_sims.at(i), wave_sims[i]) << "budget case " << i;
+  }
+}
+
+TEST(PlannerGolden, OfflineResponsesMatchRecordedBytes) {
+  // plan-cold-style requests: each zoo model twice over a 16-GPU depth
+  // sweep, cold, with two seeded drifted blocks.
+  const char* const models[] = {"gpt2-345m", "gpt2-762m", "gpt2-1.3b",
+                                "bert-large"};
+  util::Rng rng(17);
+  std::vector<std::string> rows;
+  for (int k = 0; k < 8; ++k) {
+    const int a = static_cast<int>(rng.next_below(25));
+    const int b = 25 + static_cast<int>(rng.next_below(25));
+    double f[4];
+    for (double& x : f) x = rng.uniform(0.95, 1.05);
+    char line[200];
+    std::snprintf(line, sizeof(line),
+                  "plan id=g%d model=%s gpus=16 gbs=128 stages=0 warm=off "
+                  "perturb=%d:%.4f:%.4f,%d:%.4f:%.4f",
+                  k, models[k / 2], a, f[0], f[1], b, f[2], f[3]);
+    const service::ParsedLine parsed = service::parse_line(line);
+    ASSERT_TRUE(parsed.error.empty()) << parsed.error;
+    rows.push_back(service::offline_response(parsed.request, {}));
+  }
+  const std::vector<std::string> recorded = {
+      "ok id=g0 model=gpt2-345m mbs=4 seq=0 recompute=1 gpus=16 gbs=128 stages=0 slicer=1 source=analytic perturb=14:1.0439000000000001:1.0467,47:1.0165999999999999:1.0441 warm=- stages=1 dp=16 counts=50 sliced=0 iter_ms=1161.0584873042158",
+      "ok id=g1 model=gpt2-345m mbs=4 seq=0 recompute=1 gpus=16 gbs=128 stages=0 slicer=1 source=analytic perturb=18:1.0041:1.0162,38:0.95040000000000002:1.0451999999999999 warm=- stages=1 dp=16 counts=50 sliced=0 iter_ms=1160.1575959916506",
+      "ok id=g2 model=gpt2-762m mbs=4 seq=0 recompute=1 gpus=16 gbs=128 stages=0 slicer=1 source=analytic perturb=20:0.98340000000000005:0.96060000000000001,38:0.95899999999999996:0.96919999999999995 warm=- stages=1 dp=16 counts=74 sliced=0 iter_ms=2444.4985679838869",
+      "ok id=g3 model=gpt2-762m mbs=4 seq=0 recompute=1 gpus=16 gbs=128 stages=0 slicer=1 source=analytic perturb=19:1.0412999999999999:0.95379999999999998,39:0.995:1.0061 warm=- stages=1 dp=16 counts=74 sliced=0 iter_ms=2445.9925622914711",
+      "ok id=g4 model=gpt2-1.3b mbs=4 seq=0 recompute=1 gpus=16 gbs=128 stages=0 slicer=1 source=analytic perturb=13:0.9587:1.0414000000000001,48:1.0096000000000001:1.0289999999999999 warm=- stages=2 dp=8 counts=27,23 sliced=1 iter_ms=4444.3050103159403",
+      "ok id=g5 model=gpt2-1.3b mbs=4 seq=0 recompute=1 gpus=16 gbs=128 stages=0 slicer=1 source=analytic perturb=5:0.9546:0.9869,30:1.0157:1.0190999999999999 warm=- stages=2 dp=8 counts=27,23 sliced=1 iter_ms=4440.414979694885",
+      "ok id=g6 model=bert-large mbs=4 seq=0 recompute=1 gpus=16 gbs=128 stages=0 slicer=1 source=analytic perturb=15:0.98819999999999997:1.0463,49:0.97550000000000003:0.96060000000000001 warm=- stages=1 dp=16 counts=50 sliced=0 iter_ms=572.07312050909377",
+      "ok id=g7 model=bert-large mbs=4 seq=0 recompute=1 gpus=16 gbs=128 stages=0 slicer=1 source=analytic perturb=24:1.0368999999999999:1.032,42:0.96940000000000004:0.95420000000000005 warm=- stages=1 dp=16 counts=50 sliced=0 iter_ms=572.8145263200314",
+  };
+  EXPECT_EQ(rows, recorded);
+}
 
 class RuntimeFuzz : public testing::TestWithParam<std::uint64_t> {};
 

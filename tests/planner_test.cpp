@@ -61,10 +61,12 @@ TEST_F(PlannerTest, EvaluationCapRespected) {
 }
 
 TEST_F(PlannerTest, SearchIsFast) {
-  // Fig. 12: AutoPipe plans in well under a second even for the deepest
-  // configurations (the heuristic prunes via the master stage).
+  // Fig. 12: the master stage prunes the search to a handful of
+  // simulations; at 12 stages this one stops on its Algorithm 1 seed.
+  // Counted exactly, not timed (values recorded from the wave search).
   const PlannerResult r = plan(cfg_, 12, 24);
-  EXPECT_LT(r.search_ms, 1000.0);
+  EXPECT_EQ(r.evaluations, 1);
+  EXPECT_EQ(r.unique_simulations, 1);
 }
 
 TEST_F(PlannerTest, CooldownAdjustEnforcesEqOne) {
@@ -209,10 +211,8 @@ TEST(PlannerComm, TopologyPricingChangesAndImprovesThePlan) {
   const auto comm = costmodel::CommModel::from_topology(
       costmodel::paper_cluster(), 0, costmodel::activation_bytes(cfg));
   const int m = 12;
-  PlannerOptions serial;
-  serial.threads = 1;
-  const PlannerResult uniform = plan(cfg, 5, m, serial);
-  PlannerOptions hetero = serial;
+  const PlannerResult uniform = plan(cfg, 5, m);
+  PlannerOptions hetero;
   hetero.comm = comm;
   const PlannerResult aware = plan(cfg, 5, m, hetero);
   EXPECT_NE(uniform.partition.counts, aware.partition.counts);

@@ -7,7 +7,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/planner.h"
 #include "util/thread_pool.h"
 
 namespace autopipe::util {
@@ -68,26 +67,6 @@ TEST(ThreadPool, ParallelForCoversEveryIndexOnceAndRethrows) {
                               if (i == 3) throw std::invalid_argument("x");
                             }),
                std::invalid_argument);
-}
-
-TEST(ThreadPool, ReusableAcrossPlanCalls) {
-  // One pool serves successive plan() calls (the auto_plan depth-sweep
-  // pattern) and keeps producing results identical to the serial planner.
-  const auto cfg =
-      costmodel::build_model_config(costmodel::gpt2_345m(), {4, 0, true});
-  const core::PlannerResult serial = core::plan(cfg, 4, 8);
-
-  ThreadPool pool(3);
-  for (int call = 0; call < 3; ++call) {
-    core::PlannerOptions opts;
-    opts.pool = &pool;
-    const core::PlannerResult r = core::plan(cfg, 4, 8, opts);
-    EXPECT_EQ(r.partition.counts, serial.partition.counts) << "call " << call;
-    EXPECT_EQ(r.sim.iteration_ms, serial.sim.iteration_ms) << "call " << call;
-    EXPECT_EQ(r.evaluations, serial.evaluations) << "call " << call;
-  }
-  // The pool is still usable for plain tasks afterwards.
-  EXPECT_EQ(pool.submit([] { return 42; }).get(), 42);
 }
 
 TEST(ThreadPool, QueueDepthTracksBacklogNotRunningTasks) {

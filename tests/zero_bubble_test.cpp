@@ -239,7 +239,7 @@ TEST(ZeroBubble, PlannerCoSearchAdoptsZeroBubbleOnlyWhenItWins) {
       costmodel::model_by_name("gpt2-1.3b"), {4, 0, true});
 
   // Deep pipeline, few micro-batches: big warmup bubble, zero-bubble wins.
-  AutoPipeOptions deep{8, 64, 8, true, 1};
+  AutoPipeOptions deep{8, 64, 8, true};
   deep.enable_zero_bubble = true;
   const auto zb = auto_plan(cfg, deep);
   EXPECT_EQ(zb.schedule.kind, costmodel::ScheduleKind::ZeroBubble);
@@ -253,7 +253,7 @@ TEST(ZeroBubble, PlannerCoSearchAdoptsZeroBubbleOnlyWhenItWins) {
 
   // Many micro-batches amortize the bubble: sliced 1F1B stays the winner
   // even with the co-search enabled.
-  AutoPipeOptions amortized{8, 512, 8, true, 1};
+  AutoPipeOptions amortized{8, 512, 8, true};
   amortized.enable_zero_bubble = true;
   const auto keep = auto_plan(cfg, amortized);
   EXPECT_NE(keep.schedule.kind, costmodel::ScheduleKind::ZeroBubble);
