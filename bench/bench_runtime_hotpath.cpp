@@ -16,6 +16,10 @@
 // the trainer's shapes with --threads workers, and at train-deep's shapes
 // (64 tokens, hidden 64) on one thread.
 //
+// Two arena_churn rows time the tensor arena alone: allocate/release pairs
+// per second, on 1 and on 4 threads at once, in the pattern of one
+// attention sample at train-deep's shapes (seq 16, hidden 64, 4 heads).
+//
 // Three rows time the serial work around a guarded train-deep step, on one
 // thread: crc32 (GB/s over 10 MiB, slicing-by-8 and the dispatched update),
 // adam_step (the scalar loop and the dispatched step over train-deep's
@@ -28,9 +32,11 @@
 // the >= 3x protocol.
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <thread>
 #include <vector>
 
 #include "common.h"
@@ -111,6 +117,43 @@ double gemm_rows(int m, int k, int n, int reps, util::Rng& rng) {
     worst = std::min(worst, naive / fast);
   }
   return worst;
+}
+
+/// Arena allocate/release pairs per second (all threads together) with
+/// `threads` threads each running `rounds` rounds of one attention sample's
+/// temporaries at train-deep's shapes: the sample's qkv rows [16,192] and
+/// context [16,64], then per head q, k, v, k^T, scores, probs and probs*v,
+/// all [16,16]. Buffers are dirty, so only the arena is timed.
+double arena_pairs_per_s(int threads, int rounds) {
+  constexpr int kSeq = 16, kHidden = 64, kHeads = 4, kHeadTemps = 7;
+  constexpr std::size_t kHeadNumel = kSeq * (kHidden / kHeads);
+  constexpr int kPairsPerRound = 2 + kHeads * kHeadTemps;
+  std::atomic<int> ready{0};
+  std::atomic<bool> go{false};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < threads; ++t) {
+    workers.emplace_back([&] {
+      ready.fetch_add(1);
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      for (int r = 0; r < rounds; ++r) {
+        model::ArenaBuffer qkv(kSeq * 3 * kHidden, /*zeroed=*/false);
+        model::ArenaBuffer ctx(kSeq * kHidden, /*zeroed=*/false);
+        for (int h = 0; h < kHeads; ++h) {
+          std::array<model::ArenaBuffer, kHeadTemps> temps;
+          for (auto& buf : temps) {
+            buf = model::ArenaBuffer(kHeadNumel, /*zeroed=*/false);
+          }
+        }
+      }
+    });
+  }
+  while (ready.load() < threads) std::this_thread::yield();
+  const double ms = time_ms([&] {
+    go.store(true, std::memory_order_release);
+    for (std::thread& w : workers) w.join();
+  });
+  return static_cast<double>(threads) * rounds * kPairsPerRound /
+         (ms * 1e-3);
 }
 
 }  // namespace
@@ -255,6 +298,22 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(arena.misses),
       arena.high_water_bytes / (1024.0 * 1024.0),
       static_cast<unsigned long long>(model::ArenaBuffer::copy_count()));
+
+  // ------------------------------------------------------ arena churn
+  // After the trainer, so its arena counts above cover the trainer alone.
+  for (const int churn_threads : {1, 4}) {
+    constexpr int kRounds = 20000;
+    std::vector<double> rates;
+    for (int r = 0; r < reps; ++r) {
+      rates.push_back(arena_pairs_per_s(churn_threads, kRounds));
+    }
+    const double rate = util::median(rates);
+    std::printf(
+        "{\"bench\":\"runtime_hotpath\",\"op\":\"arena_churn\","
+        "\"shape\":\"train-deep attention sample\",\"threads\":%d,"
+        "\"pairs_per_s\":%.4g,\"pairs_per_s_per_thread\":%.4g}\n",
+        churn_threads, rate, rate / churn_threads);
+  }
 
   // ------------------------------------------------ guarded-step tail
   // The serial work train-deep does around each iteration: CRC32 over the

@@ -14,11 +14,46 @@ constexpr std::size_t kSlabFloats = std::size_t{1} << 20;
 std::atomic<std::uint64_t> g_buffer_copies{0};
 }  // namespace
 
+struct Arena::ThreadCache {
+  /// granules -> parked blocks, most recently released last.
+  std::unordered_map<std::size_t, std::vector<float*>> lists;
+  // Counts not yet folded into the shared stats.
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  std::int64_t in_use = 0;  ///< bytes allocated minus bytes released
+
+  ThreadCache() = default;
+  ThreadCache(const ThreadCache&) = delete;
+  ThreadCache& operator=(const ThreadCache&) = delete;
+  ~ThreadCache() {
+    // From here on, this thread's allocations and releases go through a
+    // transient cache (which sets the same flags again when it drains).
+    tls_cache_ = nullptr;
+    tls_exited_ = true;
+    Arena& arena = Arena::global();
+    std::lock_guard<std::mutex> lock(arena.mu_);
+    arena.drain_locked(*this);
+  }
+};
+
+thread_local Arena::ThreadCache* Arena::tls_cache_ = nullptr;
+thread_local bool Arena::tls_exited_ = false;
+
 Arena& Arena::global() {
   // Intentionally leaked (still reachable): tensor storage must outlive
   // every static object that might hold a Tensor.
   static Arena* instance = new Arena();
   return *instance;
+}
+
+Arena::ThreadCache* Arena::local_cache() {
+  if (tls_cache_ != nullptr || tls_exited_) return tls_cache_;
+  // First use on this thread. The cache's destructor returns its blocks
+  // when the thread exits; the pipeline's stage workers are new threads
+  // every iteration, so that happens once per step.
+  thread_local ThreadCache cache;
+  tls_cache_ = &cache;
+  return tls_cache_;
 }
 
 float* Arena::bump_locked(std::size_t granules) {
@@ -39,34 +74,98 @@ float* Arena::bump_locked(std::size_t granules) {
   return slabs_.back().data.get();
 }
 
-float* Arena::allocate(std::size_t numel) {
-  if (numel == 0) return nullptr;
-  const std::size_t granules = rounded(numel);
+void Arena::fold_locked(ThreadCache& cache) {
+  stats_.hits += cache.hits;
+  stats_.misses += cache.misses;
+  in_use_ += cache.in_use;
+  cache.hits = cache.misses = 0;
+  cache.in_use = 0;
+}
+
+void Arena::drain_locked(ThreadCache& cache) {
+  fold_locked(cache);
+  for (auto& [granules, list] : cache.lists) {
+    const std::size_t bytes = list.size() * granules * sizeof(float);
+    held_ -= bytes;
+    stats_.bytes_free += bytes;
+    std::vector<float*>& shared = free_lists_[granules];
+    shared.insert(shared.end(), list.begin(), list.end());
+  }
+  cache.lists.clear();
+}
+
+float* Arena::refill(ThreadCache& cache, std::size_t granules) {
   std::lock_guard<std::mutex> lock(mu_);
+  fold_locked(cache);
   float* p = nullptr;
+  const std::size_t bytes = granules * sizeof(float);
   auto it = free_lists_.find(granules);
   if (it != free_lists_.end() && !it->second.empty()) {
     p = it->second.back();
     it->second.pop_back();
     ++stats_.hits;
-    stats_.bytes_free -= granules * sizeof(float);
+    stats_.bytes_free -= bytes;
   } else {
     p = bump_locked(granules);
     ++stats_.misses;
   }
-  stats_.bytes_in_use += granules * sizeof(float);
-  stats_.high_water_bytes =
-      std::max(stats_.high_water_bytes, stats_.bytes_in_use);
+  held_ += bytes;
+  stats_.high_water_bytes = std::max(stats_.high_water_bytes, held_);
   return p;
+}
+
+void Arena::hand_back(ThreadCache& cache, std::vector<float*>& list,
+                      std::size_t granules) {
+  std::lock_guard<std::mutex> lock(mu_);
+  fold_locked(cache);
+  // The oldest half goes; the most recently released blocks, likeliest to
+  // be in this core's cache, stay.
+  const auto n = static_cast<std::ptrdiff_t>(list.size() / 2);
+  std::vector<float*>& shared = free_lists_[granules];
+  shared.insert(shared.end(), list.begin(), list.begin() + n);
+  list.erase(list.begin(), list.begin() + n);
+  const std::size_t bytes =
+      static_cast<std::size_t>(n) * granules * sizeof(float);
+  held_ -= bytes;
+  stats_.bytes_free += bytes;
+}
+
+float* Arena::take(ThreadCache& cache, std::size_t granules) {
+  std::vector<float*>& list = cache.lists[granules];
+  float* p = nullptr;
+  if (list.empty()) {
+    p = refill(cache, granules);
+  } else {
+    p = list.back();
+    list.pop_back();
+    ++cache.hits;
+  }
+  cache.in_use += static_cast<std::int64_t>(granules * sizeof(float));
+  return p;
+}
+
+void Arena::park(ThreadCache& cache, float* p, std::size_t granules) {
+  std::vector<float*>& list = cache.lists[granules];
+  list.push_back(p);
+  cache.in_use -= static_cast<std::int64_t>(granules * sizeof(float));
+  if (list.size() > kThreadCacheCap) hand_back(cache, list, granules);
+}
+
+float* Arena::allocate(std::size_t numel) {
+  if (numel == 0) return nullptr;
+  if (ThreadCache* cache = local_cache()) return take(*cache, rounded(numel));
+  ThreadCache transient;  // the thread is exiting; this drains on return
+  return take(transient, rounded(numel));
 }
 
 void Arena::release(float* p, std::size_t numel) {
   if (p == nullptr || numel == 0) return;
-  const std::size_t granules = rounded(numel);
-  std::lock_guard<std::mutex> lock(mu_);
-  free_lists_[granules].push_back(p);
-  stats_.bytes_in_use -= granules * sizeof(float);
-  stats_.bytes_free += granules * sizeof(float);
+  if (ThreadCache* cache = local_cache()) {
+    park(*cache, p, rounded(numel));
+  } else {
+    ThreadCache transient;
+    park(transient, p, rounded(numel));
+  }
 }
 
 void Arena::reserve(std::size_t bytes) {
@@ -88,19 +187,33 @@ void Arena::reserve(std::size_t bytes) {
 
 ArenaStats Arena::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  ArenaStats out = stats_;
+  std::int64_t in_use = in_use_;
+  if (const ThreadCache* own = tls_cache_) {
+    out.hits += own->hits;
+    out.misses += own->misses;
+    in_use += own->in_use;
+  }
+  out.bytes_in_use =
+      static_cast<std::size_t>(std::max<std::int64_t>(in_use, 0));
+  // Blocks parked in thread caches are free too: everything held outside
+  // the shared lists that is not live.
+  out.bytes_free += held_ - std::min(held_, out.bytes_in_use);
+  return out;
 }
 
 void Arena::trim() {
   std::lock_guard<std::mutex> lock(mu_);
+  if (ThreadCache* own = tls_cache_) drain_locked(*own);
   // Free-listed blocks point into slabs, so the lists must be dropped
   // before any slab can be. A slab is removable only when nothing of it
   // was ever handed out or everything handed out has been freed -- the
-  // conservative test here is "no live bytes anywhere": with live
-  // allocations outstanding we only drop the free lists.
+  // conservative test here is "nothing held anywhere": while blocks are
+  // live, or parked in another running thread's cache, we only drop the
+  // shared free lists.
   free_lists_.clear();
   stats_.bytes_free = 0;
-  if (stats_.bytes_in_use == 0) {
+  if (held_ == 0) {
     for (const Slab& slab : slabs_) {
       stats_.slab_bytes -= slab.capacity * sizeof(float);
     }

@@ -18,9 +18,24 @@
 // out are *dirty*: callers (Tensor) decide whether to zero-fill.
 //
 // Thread safety: all public methods are safe to call concurrently (the
-// pipeline runtime allocates from every stage worker at once); a single
-// mutex guards the free lists and the bump pointer. Counters are plain
-// fields under the same mutex so stats() is a consistent snapshot.
+// pipeline runtime allocates from every stage worker at once). Each thread
+// keeps its own size-class cache in front of the shared free lists, so
+// allocate() and release() on a warm class take no lock: a release parks
+// the block in the calling thread's cache, an allocation pops it from
+// there. The shared mutex is taken only to refill an empty class (from
+// the shared free list, else the bump pointer), to hand half of a class
+// back once it holds more than kThreadCacheCap blocks -- which is what
+// bounds a producer/consumer pair of stages, where one thread allocates
+// and another frees -- and, at thread exit, to return the whole cache.
+//
+// Stats: counters a thread gathers locklessly are folded into the shared
+// ones whenever it takes the mutex and when it exits, and stats() adds the
+// calling thread's own. So hits, misses and slab_allocs are exact once the
+// worker threads have joined, and bytes_in_use / bytes_free are exact
+// whenever no other thread is allocating. high_water_bytes is the peak of
+// the bytes outside the shared free lists -- live, or parked in some
+// thread's cache -- which upper-bounds the true peak of live bytes by at
+// most the threads' parked blocks.
 //
 // Lifetime: the process-wide Arena::global() instance is created on first
 // use and intentionally never destroyed (it stays reachable, so leak
@@ -49,7 +64,6 @@ struct ArenaStats {
 
 class Arena {
  public:
-  Arena() = default;
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
 
@@ -72,11 +86,21 @@ class Arena {
 
   ArenaStats stats() const;
 
-  /// Drops every cached free block and every slab with no live allocation.
-  /// Live blocks are unaffected. Mostly for tests that want a cold arena.
+  /// Returns the calling thread's cached blocks to the shared lists, then
+  /// drops every shared free block, and every slab once no block is live
+  /// or parked in another running thread's cache. Live blocks are
+  /// unaffected. Mostly for tests and benches that want a cold arena.
   void trim();
 
+  /// Blocks one thread may park per size class before it hands half of
+  /// them back to the shared free list.
+  static constexpr std::size_t kThreadCacheCap = 16;
+
  private:
+  struct ThreadCache;
+
+  Arena() = default;
+
   struct Slab {
     std::unique_ptr<float[]> data;
     std::size_t capacity = 0;  ///< floats
@@ -88,12 +112,40 @@ class Arena {
     return (numel + 63) & ~std::size_t{63};
   }
 
+  /// The calling thread's cache, created on first use; null once the
+  /// thread's exit has destroyed it (release from a later thread_local or
+  /// static destructor then goes through a short-lived cache).
+  static ThreadCache* local_cache();
+
   float* bump_locked(std::size_t granules);
+  /// allocate() and release() against one cache.
+  float* take(ThreadCache& cache, std::size_t granules);
+  void park(ThreadCache& cache, float* p, std::size_t granules);
+  /// Slow path of allocate(), for a class the cache holds none of: one
+  /// block from the shared free list, else from the bump pointer.
+  float* refill(ThreadCache& cache, std::size_t granules);
+  /// Slow path of release(): `list` holds more than kThreadCacheCap blocks.
+  void hand_back(ThreadCache& cache, std::vector<float*>& list,
+                 std::size_t granules);
+  /// Folds the cache's counters into the shared stats and returns all of
+  /// its blocks to the shared lists.
+  void drain_locked(ThreadCache& cache);
+  void fold_locked(ThreadCache& cache);
 
   mutable std::mutex mu_;
   std::vector<Slab> slabs_;
   std::unordered_map<std::size_t, std::vector<float*>> free_lists_;
+  /// hits, misses, slab_allocs, bytes_free (shared lists only), slab_bytes
+  /// and high_water_bytes; bytes_in_use lives in in_use_.
   ArenaStats stats_;
+  /// Net bytes allocated, as folded in from the thread caches. Signed: a
+  /// thread that frees blocks another thread allocated may fold first.
+  std::int64_t in_use_ = 0;
+  /// Bytes outside the shared free lists: live, or parked in a cache.
+  std::size_t held_ = 0;
+
+  static thread_local ThreadCache* tls_cache_;
+  static thread_local bool tls_exited_;
 };
 
 /// RAII float buffer owned by the global arena: the storage cell behind

@@ -1,12 +1,16 @@
 // Arena allocator suite: seeded alloc/free storms with poison-fill
 // checksums (reuse must never overlap live buffers), high-water accounting
 // against the cost model's memory prediction, steady-state hit-rate
-// regressions for the training loop (zero mallocs on the hot path), and a
-// concurrent-stage allocation test for TSan.
+// regressions for the training loop (zero mallocs on the hot path), a
+// concurrent-stage allocation test for TSan, and the per-thread caches'
+// handoff, thread-exit and trim paths.
 #include <gtest/gtest.h>
 
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <limits>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -116,6 +120,111 @@ TEST(Arena, ConcurrentStageAllocationIsRaceFree) {
     });
   }
   for (std::thread& t : workers) t.join();
+}
+
+TEST(Arena, CrossThreadHandoffHandsBlocksBack) {
+  // A producer allocates one size class and a consumer frees it, as the
+  // stage before and the stage after a channel do. The consumer's cache
+  // would grow by a block per round and the producer bump a fresh one
+  // every time if an overflowing class were not handed back; with the
+  // hand-back both circulate a bounded set of blocks.
+  constexpr int kRounds = 4000;
+  constexpr std::size_t kNumel = 4096 + 7;  // a class no other test uses
+  constexpr std::size_t kDepth = 4;
+  std::mutex mu;
+  std::condition_variable cv;
+  std::deque<ArenaBuffer> queue;
+  const auto before = Arena::global().stats();
+  std::thread producer([&] {
+    for (int r = 0; r < kRounds; ++r) {
+      ArenaBuffer buf(kNumel, /*zeroed=*/false);
+      buf.data()[0] = static_cast<float>(r);
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&] { return queue.size() < kDepth; });
+      queue.push_back(std::move(buf));
+      cv.notify_all();
+    }
+  });
+  std::thread consumer([&] {
+    for (int r = 0; r < kRounds; ++r) {
+      ArenaBuffer buf;
+      {
+        std::unique_lock<std::mutex> lock(mu);
+        cv.wait(lock, [&] { return !queue.empty(); });
+        buf = std::move(queue.front());
+        queue.pop_front();
+        cv.notify_all();
+      }
+      EXPECT_EQ(buf.data()[0], static_cast<float>(r));
+    }  // buf dies here, on the consumer
+  });
+  producer.join();
+  consumer.join();
+  const auto after = Arena::global().stats();
+  // Blocks ever bumped: the queue, the producer's refill batch and the
+  // consumer's cache, with slack -- far below one per round.
+  EXPECT_LE(after.misses - before.misses, 4 * Arena::kThreadCacheCap);
+  EXPECT_LE(after.slab_allocs - before.slab_allocs, 1u);
+  EXPECT_EQ(after.hits + after.misses - before.hits - before.misses,
+            static_cast<std::uint64_t>(kRounds));
+  EXPECT_EQ(after.bytes_in_use, before.bytes_in_use);
+}
+
+TEST(Arena, ThreadExitReturnsCachedBlocks) {
+  // A worker parks a full class in its cache and exits: the blocks must
+  // reach the shared lists, so a fresh thread's allocations of that class
+  // are all hits and grow no slab.
+  constexpr std::size_t kNumel = 3000 + 11;  // a class no other test uses
+  constexpr std::size_t kBlocks = Arena::kThreadCacheCap;
+  const auto allocate_all = [&] {
+    std::vector<ArenaBuffer> bufs;
+    for (std::size_t i = 0; i < kBlocks; ++i) {
+      bufs.emplace_back(kNumel, /*zeroed=*/false);
+    }
+  };  // all kBlocks are released at once and stay parked: none overflows
+  const auto base = Arena::global().stats();
+  std::thread first(allocate_all);
+  first.join();
+  const auto parked = Arena::global().stats();
+  EXPECT_EQ(parked.bytes_in_use, base.bytes_in_use);
+  EXPECT_GE(parked.bytes_free - base.bytes_free,
+            kBlocks * ((kNumel + 63) / 64 * 64) * sizeof(float));
+
+  std::thread second(allocate_all);
+  second.join();
+  const auto after = Arena::global().stats();
+  EXPECT_EQ(after.misses, parked.misses) << "exited thread's blocks lost";
+  EXPECT_EQ(after.hits - parked.hits, kBlocks);
+  EXPECT_EQ(after.slab_allocs, parked.slab_allocs);
+  EXPECT_EQ(after.bytes_in_use, base.bytes_in_use);
+}
+
+TEST(Arena, TrimFreesSlabsOnceWorkersHaveExited) {
+  // Blocks parked by workers that have exited are back in the shared
+  // lists, so a cold-arena trim() with nothing live still frees every
+  // slab (a cache that miscounted live bytes would keep them all).
+  std::vector<std::thread> workers;
+  for (int w = 0; w < 4; ++w) {
+    workers.emplace_back([w] {
+      util::Rng rng(300 + w);
+      std::vector<ArenaBuffer> live;
+      for (int step = 0; step < 200; ++step) {
+        live.emplace_back(1 + rng.next_below(5000), /*zeroed=*/false);
+        if (live.size() > 8) live.erase(live.begin());
+      }
+    });
+  }
+  for (std::thread& t : workers) t.join();
+  { ArenaBuffer own(1234); }  // one parked in this thread's cache too
+  const auto before = Arena::global().stats();
+  if (before.bytes_in_use != 0) {
+    GTEST_SKIP() << "other tensors are live in this process";
+  }
+  Arena::global().trim();
+  const auto after = Arena::global().stats();
+  EXPECT_EQ(after.slab_bytes, 0u);
+  EXPECT_EQ(after.bytes_free, 0u);
+  EXPECT_EQ(after.bytes_in_use, 0u);
 }
 
 TEST(Arena, TensorCopiesAreCountedAndMovesAreNot) {
