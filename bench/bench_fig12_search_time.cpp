@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
                                 1) +
                    "x"});
   }
-  show_table(t, "fig12_search_time");
+  std::printf("%s\n", t.to_ascii().c_str());
 
   // AutoPipe row, then the Piper/DAPPLE thread sweep, per model.
   std::vector<int> sweep{1};

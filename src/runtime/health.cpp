@@ -20,7 +20,7 @@ void HealthBoard::reset(int devices) {
   if (devices < 1 || devices > max_devices_) {
     throw std::invalid_argument("health board: device count out of range");
   }
-  devices_ = devices;
+  devices_.store(devices, std::memory_order_relaxed);
   const std::int64_t now = now_us();
   for (int d = 0; d < devices; ++d) {
     slots_[d].ops.store(0, std::memory_order_relaxed);

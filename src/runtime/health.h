@@ -36,7 +36,8 @@ class HealthBoard {
   /// to Idle. Not safe concurrently with beats -- call it between attempts.
   void reset(int devices);
 
-  int devices() const { return devices_; }
+  /// Safe to read from any thread, e.g. the watchdog's, while reset() runs.
+  int devices() const { return devices_.load(std::memory_order_relaxed); }
 
   /// Worker-side: `ops_done` schedule ops complete on `device`, progress
   /// stamp refreshed. Wait-free.
@@ -61,7 +62,7 @@ class HealthBoard {
   std::int64_t now_us() const;
 
   int max_devices_;
-  int devices_ = 0;
+  std::atomic<int> devices_{0};
   std::unique_ptr<Slot[]> slots_;
   std::chrono::steady_clock::time_point epoch_;
 };

@@ -1,10 +1,7 @@
 #include "util/table.h"
 
 #include <algorithm>
-#include <fstream>
 #include <sstream>
-
-#include "util/logging.h"
 
 namespace autopipe::util {
 
@@ -55,41 +52,6 @@ std::string Table::to_ascii() const {
   for (const auto& row : rows_) emit_row(row);
   emit_rule();
   return os.str();
-}
-
-std::string Table::to_csv() const {
-  auto escape = [](const std::string& cell) {
-    if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
-    std::string out = "\"";
-    for (char ch : cell) {
-      if (ch == '"') out += '"';
-      out += ch;
-    }
-    out += '"';
-    return out;
-  };
-  std::ostringstream os;
-  for (std::size_t c = 0; c < header_.size(); ++c) {
-    os << (c ? "," : "") << escape(header_[c]);
-  }
-  os << '\n';
-  for (const auto& row : rows_) {
-    for (std::size_t c = 0; c < header_.size(); ++c) {
-      os << (c ? "," : "") << escape(c < row.size() ? row[c] : "");
-    }
-    os << '\n';
-  }
-  return os.str();
-}
-
-bool Table::write_csv(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) {
-    AP_LOG(error) << "cannot open " << path << " for writing";
-    return false;
-  }
-  out << to_csv();
-  return static_cast<bool>(out);
 }
 
 }  // namespace autopipe::util

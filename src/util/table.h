@@ -1,8 +1,6 @@
-// Console table and CSV emission for the benchmark harnesses.
+// Console tables for the benchmark harnesses and example CLIs.
 //
-// Every bench binary prints the same rows the paper's table/figure reports;
-// Table collects cells as strings and renders an aligned ASCII table plus,
-// optionally, a CSV file for downstream plotting.
+// Table collects cells as strings and renders an aligned ASCII table.
 #pragma once
 
 #include <string>
@@ -21,10 +19,6 @@ class Table {
   static std::string fmt(double value, int precision = 1);
 
   std::string to_ascii() const;
-  std::string to_csv() const;
-
-  /// Writes CSV to `path`; returns false (and logs) on I/O failure.
-  bool write_csv(const std::string& path) const;
 
   std::size_t rows() const { return rows_.size(); }
   std::size_t columns() const { return header_.size(); }

@@ -168,15 +168,13 @@ TEST(Rng, GaussianHasReasonableMoments) {
 
 // ---------------------------------------------------------------- table
 
-TEST(Table, AsciiAlignsAndCsvEscapes) {
+TEST(Table, AsciiAligns) {
   Table t({"name", "value"});
   t.add_row({"alpha", "1"});
   t.add_row({"b,c", "2"});
   const std::string ascii = t.to_ascii();
   EXPECT_NE(ascii.find("| name"), std::string::npos);
   EXPECT_NE(ascii.find("alpha"), std::string::npos);
-  const std::string csv = t.to_csv();
-  EXPECT_NE(csv.find("\"b,c\""), std::string::npos);
 }
 
 TEST(Table, ShortRowsPadded) {
@@ -189,19 +187,6 @@ TEST(Table, ShortRowsPadded) {
 TEST(Table, FmtPrecision) {
   EXPECT_EQ(Table::fmt(3.14159, 2), "3.14");
   EXPECT_EQ(Table::fmt(2.0, 0), "2");
-}
-
-TEST(Table, WriteCsvRoundTrip) {
-  Table t({"x"});
-  t.add_row({"42"});
-  const std::string path = testing::TempDir() + "/autopipe_table_test.csv";
-  ASSERT_TRUE(t.write_csv(path));
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  ASSERT_NE(f, nullptr);
-  char buf[64] = {};
-  ASSERT_NE(std::fgets(buf, sizeof buf, f), nullptr);
-  EXPECT_STREQ(buf, "x\n");
-  std::fclose(f);
 }
 
 // ------------------------------------------------------------------ cli
