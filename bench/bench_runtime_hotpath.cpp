@@ -20,11 +20,14 @@
 // per second, on 1 and on 4 threads at once, in the pattern of one
 // attention sample at train-deep's shapes (seq 16, hidden 64, 4 heads).
 //
-// Three rows time the serial work around a guarded train-deep step, on one
+// Four rows time the serial work around a guarded train-deep step, on one
 // thread: crc32 (GB/s over 10 MiB, slicing-by-8 and the dispatched update),
 // adam_step (the scalar loop and the dispatched step over train-deep's
-// model) and gelu_with_grad (against gelu + gelu_backward at 64x256). The
-// crc32 row fails the run, exit code 1, when the two CRC kernels disagree.
+// model), ckpt_step (one verified 4-stage checkpoint of that model into
+// in-memory storage, written from a captured TrainState and from the live
+// tensors) and gelu_with_grad (against gelu + gelu_backward at 64x256).
+// The crc32 row fails the run, exit code 1, when the two CRC kernels
+// disagree, and the ckpt_step row when the two writes' files differ.
 //
 // --assert-speedup S exits non-zero unless the end-to-end fast path, and
 // every GEMM row's fast kernel, is at least S times the naive throughput;
@@ -39,8 +42,11 @@
 #include <thread>
 #include <vector>
 
+#include "ckpt/checkpoint.h"
+#include "ckpt/storage.h"
 #include "common.h"
 #include "core/balanced_dp.h"
+#include "guard/guard.h"
 #include "model/arena.h"
 #include "model/data.h"
 #include "model/kernels.h"
@@ -321,6 +327,7 @@ int main(int argc, char** argv) {
   // the trainer, so its arena and copy counts cover the trainer alone.
   model::set_ops_threads(1);
   bool crc_agrees = true;
+  bool ckpt_agrees = true;
   {
     // Both CRC kernels on one 10 MiB buffer. The dispatched update must
     // give slicing-by-8's value: a disagreement fails the run whatever
@@ -383,6 +390,46 @@ int main(int argc, char** argv) {
         "\"scalar_ms\":%.4f,\"fast_ms\":%.4f,\"speedup\":%.2f}\n",
         params, model::kernels::avx2_supported() ? "avx2" : "scalar",
         scalar_ms, fast_ms, scalar_ms / fast_ms);
+
+    // One train-deep checkpoint (its 4-stage partition, verified stamp),
+    // rewritten at the same step: write(capture()) against the live write.
+    // Both must leave the same files, byte for byte.
+    const std::vector<int> deep_counts = {9, 8, 9, 8};
+    const int kind = static_cast<int>(costmodel::ScheduleKind::AutoPipeSliced);
+    const util::Rng::State data_rng = rng.state();
+    const std::uint32_t crc =
+        guard::weight_crc(deep_net, adam_deep.m(), adam_deep.v());
+    ckpt::MemStorage captured_mem, live_mem;
+    ckpt::CheckpointWriter captured_writer(captured_mem, "ck", {1});
+    ckpt::CheckpointWriter live_writer(live_mem, "ck", {1});
+    std::string dir;
+    const double captured_ms = median_ms(reps, [&] {
+      dir = captured_writer.write(
+          ckpt::capture_train_state(deep_net, adam_deep, data_rng, 1,
+                                    deep_counts, kind),
+          &crc);
+    });
+    const double live_ms = median_ms(reps, [&] {
+      live_writer.write(ckpt::live_view(deep_net, adam_deep, data_rng, 1,
+                                        deep_counts, kind),
+                        &crc);
+    });
+    const std::vector<std::string> names = captured_mem.list_dir(dir);
+    ckpt_agrees = names == live_mem.list_dir(dir);
+    std::size_t bytes = 0;
+    for (const std::string& name : names) {
+      const std::string captured = captured_mem.read_file(dir + "/" + name);
+      bytes += captured.size();
+      ckpt_agrees =
+          ckpt_agrees && live_mem.read_file(dir + "/" + name) == captured;
+    }
+    std::printf(
+        "{\"bench\":\"runtime_hotpath\",\"op\":\"ckpt_step\","
+        "\"shape\":\"train-deep %zu params, 4 stages\","
+        "\"captured_write_ms\":%.4f,\"live_write_ms\":%.4f,"
+        "\"speedup\":%.2f,\"bytes\":%zu,\"agree\":%s}\n",
+        params, captured_ms, live_ms, captured_ms / live_ms, bytes,
+        ckpt_agrees ? "true" : "false");
   }
   {
     // The FFN recompute's activation and gradient at train-deep's shape:
@@ -410,6 +457,12 @@ int main(int argc, char** argv) {
   if (!crc_agrees) {
     std::fprintf(stderr,
                  "FAIL: dispatched CRC32 disagrees with slicing-by-8\n");
+    return 1;
+  }
+  if (!ckpt_agrees) {
+    std::fprintf(stderr,
+                 "FAIL: the live checkpoint write's files differ from "
+                 "write(capture())'s\n");
     return 1;
   }
   if (assert_speedup > 0 && speedup < assert_speedup) {

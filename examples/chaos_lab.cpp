@@ -707,8 +707,8 @@ class KillAtManifestStorage : public ckpt::Storage {
   void create_dirs(const std::string& path) override {
     inner_.create_dirs(path);
   }
-  void write_file(const std::string& path, std::string_view bytes) override {
-    inner_.write_file(path, bytes);
+  void write_file(const std::string& path, std::string bytes) override {
+    inner_.write_file(path, std::move(bytes));
   }
   void rename_file(const std::string& from, const std::string& to) override {
     const bool manifest = to.size() >= 8 &&

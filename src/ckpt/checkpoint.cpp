@@ -34,11 +34,11 @@ struct ByteWriter {
   void u8(std::uint8_t v) { raw(&v, 1); }
   void u32(std::uint32_t v) { raw(&v, 4); }
   void u64(std::uint64_t v) { raw(&v, 8); }
-  void str(const std::string& s) {
+  void str(std::string_view s) {
     u32(static_cast<std::uint32_t>(s.size()));
     raw(s.data(), s.size());
   }
-  void floats(const std::vector<float>& v) {
+  void floats(std::span<const float> v) {
     u64(v.size());
     raw(v.data(), v.size() * sizeof(float));
   }
@@ -99,15 +99,17 @@ struct ByteReader {
   }
 };
 
-void serialize_stage(ByteWriter& w, const TrainState& state, int first_block,
+/// The one record serializer: every checkpoint byte is read from a view,
+/// whether it points into a TrainState or into the live tensors.
+void serialize_stage(ByteWriter& w, const StateView& state, int first_block,
                      int num_blocks) {
   w.u32(static_cast<std::uint32_t>(first_block));
   w.u32(static_cast<std::uint32_t>(num_blocks));
   for (int b = first_block; b < first_block + num_blocks; ++b) {
-    const BlockState& block = state.blocks[static_cast<std::size_t>(b)];
+    const BlockView& block = state.blocks[static_cast<std::size_t>(b)];
     w.str(block.kind);
     w.u32(static_cast<std::uint32_t>(block.params.size()));
-    for (const ParamState& p : block.params) {
+    for (const ParamView& p : block.params) {
       w.str(p.name);
       w.floats(p.value);
       const bool has_adam = !p.adam_m.empty();
@@ -160,9 +162,10 @@ void deserialize_stage(std::string_view payload, TrainState& state,
 constexpr std::size_t kFrameHeader = 4 + 4 + 8;
 
 /// One stage's framed record, serialized once into an exactly reserved
-/// buffer; the payload's CRC32 (which the manifest lists too) is computed
-/// in place and returned through `crc`.
-std::string frame_stage(const TrainState& state, int first_block,
+/// buffer that the writer then moves into storage; the payload's CRC32
+/// (which the manifest lists too) is computed in place and returned
+/// through `crc`.
+std::string frame_stage(const StateView& state, int first_block,
                         int num_blocks, std::uint32_t* crc) {
   ByteWriter sizer;
   serialize_stage(sizer, state, first_block, num_blocks);
@@ -259,40 +262,69 @@ std::string step_dir_name(int step) {
 
 namespace {
 
-/// capture_train_state's body over the optimizer's step count and moments,
-/// wherever they live.
-TrainState capture(const model::TransformerModel& model, long adam_t,
-                   const std::vector<std::vector<float>>& adam_m,
-                   const std::vector<std::vector<float>>& adam_v,
-                   const util::Rng::State& data_rng, int step,
-                   const std::vector<int>& counts, int schedule_kind) {
-  TrainState state;
-  state.step = step;
-  state.adam_t = adam_t;
-  state.data_rng = data_rng;
-  state.counts = counts;
-  state.schedule_kind = schedule_kind;
-  state.scheme_fingerprint = core::scheme_hash(counts);
+/// live_view's body over the optimizer's step count and moments, wherever
+/// they live.
+StateView view_live(const model::TransformerModel& model, long adam_t,
+                    const std::vector<std::vector<float>>& adam_m,
+                    const std::vector<std::vector<float>>& adam_v,
+                    const util::Rng::State& data_rng, int step,
+                    const std::vector<int>& counts, int schedule_kind) {
+  StateView view;
+  view.step = step;
+  view.adam_t = adam_t;
+  view.data_rng = data_rng;
+  view.counts = counts;
+  view.schedule_kind = schedule_kind;
+  view.scheme_fingerprint = core::scheme_hash(counts);
 
   const bool has_adam = adam_t > 0;
   std::size_t slot = 0;
+  view.blocks.reserve(static_cast<std::size_t>(model.num_blocks()));
   for (int b = 0; b < model.num_blocks(); ++b) {
-    BlockState block;
+    BlockView block;
     block.kind = model.block(b).kind();
     for (const model::ParamTensor& p : model.block(b).params()) {
-      ParamState ps;
-      ps.name = p.name;
-      ps.value.assign(p.value.data(), p.value.data() + p.value.numel());
+      ParamView pv;
+      pv.name = p.name;
+      pv.value = {p.value.data(), p.value.numel()};
       if (has_adam) {
-        if (slot >= adam_m.size() || adam_m[slot].size() != ps.value.size()) {
+        if (slot >= adam_m.size() || slot >= adam_v.size() ||
+            adam_m[slot].size() != pv.value.size() ||
+            adam_v[slot].size() != pv.value.size()) {
           throw CkptError(CkptErrorKind::Mismatch,
                           "optimizer state does not cover parameter '" +
                               p.name + "'");
         }
-        ps.adam_m = adam_m[slot];
-        ps.adam_v = adam_v[slot];
+        pv.adam_m = adam_m[slot];
+        pv.adam_v = adam_v[slot];
       }
       ++slot;
+      block.params.push_back(pv);
+    }
+    view.blocks.push_back(std::move(block));
+  }
+  return view;
+}
+
+/// The view's floats, copied into a TrainState that owns them.
+TrainState materialize(const StateView& view) {
+  TrainState state;
+  state.step = view.step;
+  state.adam_t = view.adam_t;
+  state.data_rng = view.data_rng;
+  state.counts.assign(view.counts.begin(), view.counts.end());
+  state.schedule_kind = view.schedule_kind;
+  state.scheme_fingerprint = view.scheme_fingerprint;
+  state.blocks.reserve(view.blocks.size());
+  for (const BlockView& bv : view.blocks) {
+    BlockState block;
+    block.kind = bv.kind;
+    for (const ParamView& pv : bv.params) {
+      ParamState ps;
+      ps.name = pv.name;
+      ps.value.assign(pv.value.begin(), pv.value.end());
+      ps.adam_m.assign(pv.adam_m.begin(), pv.adam_m.end());
+      ps.adam_v.assign(pv.adam_v.begin(), pv.adam_v.end());
       block.params.push_back(std::move(ps));
     }
     state.blocks.push_back(std::move(block));
@@ -302,13 +334,41 @@ TrainState capture(const model::TransformerModel& model, long adam_t,
 
 }  // namespace
 
+StateView view_of(const TrainState& state) {
+  StateView view;
+  view.step = state.step;
+  view.adam_t = state.adam_t;
+  view.data_rng = state.data_rng;
+  view.counts = state.counts;
+  view.schedule_kind = state.schedule_kind;
+  view.scheme_fingerprint = state.scheme_fingerprint;
+  view.blocks.reserve(state.blocks.size());
+  for (const BlockState& block : state.blocks) {
+    BlockView bv;
+    bv.kind = block.kind;
+    for (const ParamState& p : block.params) {
+      bv.params.push_back({p.name, p.value, p.adam_m, p.adam_v});
+    }
+    view.blocks.push_back(std::move(bv));
+  }
+  return view;
+}
+
+StateView live_view(const model::TransformerModel& model,
+                    const runtime::Adam& adam,
+                    const util::Rng::State& data_rng, int step,
+                    const std::vector<int>& counts, int schedule_kind) {
+  return view_live(model, adam.t(), adam.m(), adam.v(), data_rng, step,
+                   counts, schedule_kind);
+}
+
 TrainState capture_train_state(const model::TransformerModel& model,
                                const runtime::AdamState& adam,
                                const util::Rng::State& data_rng, int step,
                                const std::vector<int>& counts,
                                int schedule_kind) {
-  return capture(model, adam.t, adam.m, adam.v, data_rng, step, counts,
-                 schedule_kind);
+  return materialize(view_live(model, adam.t, adam.m, adam.v, data_rng, step,
+                               counts, schedule_kind));
 }
 
 TrainState capture_train_state(const model::TransformerModel& model,
@@ -316,8 +376,8 @@ TrainState capture_train_state(const model::TransformerModel& model,
                                const util::Rng::State& data_rng, int step,
                                const std::vector<int>& counts,
                                int schedule_kind) {
-  return capture(model, adam.t(), adam.m(), adam.v(), data_rng, step, counts,
-                 schedule_kind);
+  return materialize(
+      live_view(model, adam, data_rng, step, counts, schedule_kind));
 }
 
 runtime::AdamState apply_train_state(const TrainState& state,
@@ -376,6 +436,11 @@ CheckpointWriter::CheckpointWriter(Storage& storage, std::string dir,
 
 std::string CheckpointWriter::write(const TrainState& state,
                                     const std::uint32_t* verified_weights) {
+  return write(view_of(state), verified_weights);
+}
+
+std::string CheckpointWriter::write(const StateView& state,
+                                    const std::uint32_t* verified_weights) {
   const int stages = static_cast<int>(state.counts.size());
   int total = 0;
   for (int c : state.counts) total += c;
@@ -405,9 +470,10 @@ std::string CheckpointWriter::write(const TrainState& state,
   int first = 0;
   for (int s = 0; s < stages; ++s) {
     std::uint32_t crc = 0;
-    const std::string framed = frame_stage(state, first, state.counts[s], &crc);
-    storage_.write_file(step_dir + "/" + record_name(s), framed);
-    manifest << "record " << record_name(s) << " bytes=" << framed.size()
+    std::string framed = frame_stage(state, first, state.counts[s], &crc);
+    const std::size_t bytes = framed.size();
+    storage_.write_file(step_dir + "/" + record_name(s), std::move(framed));
+    manifest << "record " << record_name(s) << " bytes=" << bytes
              << " crc32=" << util::crc32_hex(crc) << "\n";
     first += state.counts[s];
   }
@@ -417,7 +483,7 @@ std::string CheckpointWriter::write(const TrainState& state,
   // validate.
   std::string body = manifest.str();
   body += "crc " + util::crc32_hex(util::crc32(body)) + "\n";
-  atomic_write(storage_, step_dir + "/" + kManifestName, body);
+  atomic_write(storage_, step_dir + "/" + kManifestName, std::move(body));
 
   // Phase 3 (optional): the verified-clean stamp, after the commit point so
   // a stamp can never outlive or predate the checkpoint it vouches for. The
@@ -428,7 +494,7 @@ std::string CheckpointWriter::write(const TrainState& state,
     std::string stamp = std::string(kVerifiedHeader) + "\n";
     stamp += "weights " + util::crc32_hex(*verified_weights) + "\n";
     stamp += "crc " + util::crc32_hex(util::crc32(stamp)) + "\n";
-    atomic_write(storage_, step_dir + "/" + kVerifiedName, stamp);
+    atomic_write(storage_, step_dir + "/" + kVerifiedName, std::move(stamp));
   }
 
   prune();

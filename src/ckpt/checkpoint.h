@@ -27,8 +27,10 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ckpt/storage.h"
@@ -98,6 +100,44 @@ struct TrainState {
   bool operator==(const TrainState&) const = default;
 };
 
+/// What a checkpoint holds, as read-only views into wherever the floats
+/// live: a TrainState, or the live model and optimizer. The record
+/// serializer reads only views, so a checkpoint written from the live
+/// tensors is byte-identical to one written from their TrainState copy.
+struct ParamView {
+  std::string_view name;
+  std::span<const float> value;
+  std::span<const float> adam_m;  ///< empty before the first Adam step
+  std::span<const float> adam_v;
+};
+
+struct BlockView {
+  std::string_view kind;
+  std::vector<ParamView> params;
+};
+
+struct StateView {
+  int step = 0;
+  long adam_t = 0;
+  util::Rng::State data_rng{};
+  std::span<const int> counts;
+  int schedule_kind = 0;
+  std::uint64_t scheme_fingerprint = 0;
+  std::vector<BlockView> blocks;
+};
+
+/// Views `state`'s blocks in place; valid while `state` is unchanged.
+StateView view_of(const TrainState& state);
+StateView view_of(TrainState&&) = delete;  ///< would view a temporary
+/// Views the live parameters and the optimizer's moments in place: the
+/// state capture_train_state() would copy. Throws CkptError(Mismatch) when
+/// the optimizer's moments do not cover the model's parameters. The view
+/// is valid while `model`, `adam` and `counts` are unchanged.
+StateView live_view(const model::TransformerModel& model,
+                    const runtime::Adam& adam,
+                    const util::Rng::State& data_rng, int step,
+                    const std::vector<int>& counts, int schedule_kind);
+
 /// Snapshot of (model, optimizer, data stream, schedule position) at an
 /// iteration boundary. `adam` may be a default AdamState when training
 /// has not stepped yet.
@@ -144,6 +184,9 @@ class CheckpointWriter {
   /// with a VERIFIED file written *after* the manifest commit. A crash
   /// between the two leaves a valid-but-unverified checkpoint, which is
   /// safe: restore(require_verified) simply skips it.
+  std::string write(const StateView& state,
+                    const std::uint32_t* verified_weights = nullptr);
+  /// write(view_of(state)).
   std::string write(const TrainState& state,
                     const std::uint32_t* verified_weights = nullptr);
 

@@ -41,7 +41,7 @@ void PosixStorage::create_dirs(const std::string& path) {
   if (ec) fail("mkdir", path, ec.message());
 }
 
-void PosixStorage::write_file(const std::string& path, std::string_view bytes) {
+void PosixStorage::write_file(const std::string& path, std::string bytes) {
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     if (!out) fail("open", path, "cannot open for writing");
@@ -124,16 +124,16 @@ void MemStorage::create_dirs(const std::string& path) {
   }
 }
 
-void MemStorage::write_file(const std::string& path, std::string_view bytes) {
+void MemStorage::write_file(const std::string& path, std::string bytes) {
   const auto it = find(path);
   if (it != files_.end()) {
-    it->second.assign(bytes);
+    it->second = std::move(bytes);
     return;
   }
   const auto pos = std::lower_bound(
       files_.begin(), files_.end(), path,
       [](const auto& f, const std::string& p) { return f.first < p; });
-  files_.insert(pos, {path, std::string(bytes)});
+  files_.insert(pos, {path, std::move(bytes)});
 }
 
 void MemStorage::rename_file(const std::string& from, const std::string& to) {
@@ -141,7 +141,7 @@ void MemStorage::rename_file(const std::string& from, const std::string& to) {
   if (it == files_.end()) fail("rename", from, "no such file");
   std::string bytes = std::move(it->second);
   files_.erase(it);
-  write_file(to, bytes);
+  write_file(to, std::move(bytes));
 }
 
 std::string MemStorage::read_file(const std::string& path) {
@@ -199,9 +199,9 @@ std::string& MemStorage::bytes(const std::string& path) {
 // ------------------------------------------------------------ atomic_write
 
 void atomic_write(Storage& storage, const std::string& path,
-                  std::string_view bytes) {
+                  std::string bytes) {
   const std::string tmp = path + ".tmp";
-  storage.write_file(tmp, bytes);  // durable but tearable
+  storage.write_file(tmp, std::move(bytes));  // durable but tearable
   storage.rename_file(tmp, path);  // the commit point
 }
 

@@ -17,7 +17,6 @@
 
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace autopipe::ckpt {
@@ -39,7 +38,9 @@ class Storage {
   /// Creates/truncates `path` with `bytes` and makes it durable (fsync on
   /// the POSIX backend). NOT atomic -- a crash mid-call can leave a torn
   /// file, which is exactly why the writer only targets temp names here.
-  virtual void write_file(const std::string& path, std::string_view bytes) = 0;
+  /// The buffer is taken by value: the checkpoint writer moves each record
+  /// in, and a backend that keeps the bytes (MemStorage) keeps that buffer.
+  virtual void write_file(const std::string& path, std::string bytes) = 0;
   /// Atomic replace (POSIX rename semantics): after return, `to` is the new
   /// file; on a crash before return, `to` is untouched.
   virtual void rename_file(const std::string& from, const std::string& to) = 0;
@@ -58,7 +59,7 @@ class Storage {
 class PosixStorage final : public Storage {
  public:
   void create_dirs(const std::string& path) override;
-  void write_file(const std::string& path, std::string_view bytes) override;
+  void write_file(const std::string& path, std::string bytes) override;
   void rename_file(const std::string& from, const std::string& to) override;
   std::string read_file(const std::string& path) override;
   bool exists(const std::string& path) override;
@@ -72,7 +73,7 @@ class PosixStorage final : public Storage {
 class MemStorage final : public Storage {
  public:
   void create_dirs(const std::string& path) override;
-  void write_file(const std::string& path, std::string_view bytes) override;
+  void write_file(const std::string& path, std::string bytes) override;
   void rename_file(const std::string& from, const std::string& to) override;
   std::string read_file(const std::string& path) override;
   bool exists(const std::string& path) override;
@@ -96,6 +97,6 @@ class MemStorage final : public Storage {
 /// injected), `path` is untouched (at worst `<path>.tmp` holds a torn copy,
 /// which readers never consult).
 void atomic_write(Storage& storage, const std::string& path,
-                  std::string_view bytes);
+                  std::string bytes);
 
 }  // namespace autopipe::ckpt

@@ -19,27 +19,25 @@ void FaultyStorage::create_dirs(const std::string& path) {
   inner_.create_dirs(path);
 }
 
-void FaultyStorage::write_file(const std::string& path,
-                               std::string_view bytes) {
+void FaultyStorage::write_file(const std::string& path, std::string bytes) {
   const int op = writes_++;
   if (const StorageFault* f = match(StorageFault::Kind::TornWrite, op)) {
     ++injected_;
-    const std::size_t kept = std::min(f->at_byte, bytes.size());
-    inner_.write_file(path, bytes.substr(0, kept));
+    const std::size_t total = bytes.size();
+    const std::size_t kept = std::min(f->at_byte, total);
+    bytes.resize(kept);
+    inner_.write_file(path, std::move(bytes));
     throw ckpt::StorageError("injected torn write to " + path + " (" +
                              std::to_string(kept) + "/" +
-                             std::to_string(bytes.size()) + " bytes landed)");
+                             std::to_string(total) + " bytes landed)");
   }
   if (const StorageFault* f = match(StorageFault::Kind::BitFlip, op)) {
     ++injected_;
-    std::string corrupted(bytes);
-    if (!corrupted.empty()) {
-      corrupted[f->at_byte % corrupted.size()] ^= 0x01;
-    }
-    inner_.write_file(path, corrupted);  // lands "successfully"
+    if (!bytes.empty()) bytes[f->at_byte % bytes.size()] ^= 0x01;
+    inner_.write_file(path, std::move(bytes));  // lands "successfully"
     return;
   }
-  inner_.write_file(path, bytes);
+  inner_.write_file(path, std::move(bytes));
 }
 
 void FaultyStorage::rename_file(const std::string& from,

@@ -53,7 +53,7 @@ class FaultyStorage final : public ckpt::Storage {
       : inner_(inner), plan_(std::move(plan)) {}
 
   void create_dirs(const std::string& path) override;
-  void write_file(const std::string& path, std::string_view bytes) override;
+  void write_file(const std::string& path, std::string bytes) override;
   void rename_file(const std::string& from, const std::string& to) override;
   std::string read_file(const std::string& path) override;
   bool exists(const std::string& path) override;

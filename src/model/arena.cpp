@@ -8,7 +8,10 @@ namespace autopipe::model {
 
 namespace {
 // Slabs grow in 4 MiB steps (1M floats); a single over-sized request gets
-// its own exactly-sized slab instead of bloating the step.
+// its own exactly-sized slab instead of bloating the step. Slabs are left
+// uninitialised: blocks are handed out dirty anyway, so no slab byte is
+// written before a tensor uses it, and an untouched page is never made
+// resident.
 constexpr std::size_t kSlabFloats = std::size_t{1} << 20;
 
 std::atomic<std::uint64_t> g_buffer_copies{0};
@@ -66,7 +69,7 @@ float* Arena::bump_locked(std::size_t granules) {
   }
   Slab slab;
   slab.capacity = std::max(granules, kSlabFloats);
-  slab.data = std::make_unique<float[]>(slab.capacity);
+  slab.data = std::make_unique_for_overwrite<float[]>(slab.capacity);
   slab.used = granules;
   ++stats_.slab_allocs;
   stats_.slab_bytes += slab.capacity * sizeof(float);
@@ -179,7 +182,7 @@ void Arena::reserve(std::size_t bytes) {
   if (spare >= want) return;
   Slab slab;
   slab.capacity = std::max(want - spare, kSlabFloats);
-  slab.data = std::make_unique<float[]>(slab.capacity);
+  slab.data = std::make_unique_for_overwrite<float[]>(slab.capacity);
   ++stats_.slab_allocs;
   stats_.slab_bytes += slab.capacity * sizeof(float);
   slabs_.push_back(std::move(slab));

@@ -81,7 +81,9 @@ class Arena {
   /// Pre-grows the arena so that `bytes` of tensor storage can be handed
   /// out without further system allocation -- the runtime sizes this from
   /// the cost model's activation estimate. No-op when the arena already
-  /// owns enough slab space.
+  /// owns enough slab space. The new slab is not written, so this reserves
+  /// address space: a page becomes resident when a tensor first uses it,
+  /// and an over-estimate costs no memory.
   void reserve(std::size_t bytes);
 
   ArenaStats stats() const;

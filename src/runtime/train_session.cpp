@@ -185,10 +185,14 @@ ckpt::TrainState TrainSession::capture() const {
 void TrainSession::maybe_checkpoint() {
   if (writer_ == nullptr || step_ % options_.ckpt_interval != 0) return;
   try {
+    // Records are serialized straight from the live tensors and moments:
+    // the same bytes as writing capture(), without its copy of the state.
     // With the weight guard on, the sentinel is exactly the state being
-    // captured (refreshed after the optimizer step), so the checkpoint is
+    // written (refreshed after the optimizer step), so the checkpoint is
     // stamped verified-clean and the corruption rung can trust it.
-    writer_->write(capture(),
+    writer_->write(ckpt::live_view(model_, adam_, corpus_.rng_state(), step_,
+                                   options_.counts,
+                                   static_cast<int>(options_.kind)),
                    weight_sentinel_valid_ ? &weight_sentinel_ : nullptr);
     ++checkpoints_written_;
   } catch (const ckpt::StorageError& e) {

@@ -105,18 +105,19 @@ void ArmedStorage::create_dirs(const std::string& path) {
   inner_.create_dirs(path);
 }
 
-void ArmedStorage::write_file(const std::string& path,
-                              std::string_view bytes) {
+void ArmedStorage::write_file(const std::string& path, std::string bytes) {
   if (armed_) {
     armed_ = false;
     ++torn_writes_;
-    const std::size_t keep = std::min(keep_bytes_, bytes.size());
-    inner_.write_file(path, bytes.substr(0, keep));
+    const std::size_t total = bytes.size();
+    const std::size_t keep = std::min(keep_bytes_, total);
+    bytes.resize(keep);
+    inner_.write_file(path, std::move(bytes));
     throw ckpt::StorageError("armed torn write: " + path + " kept " +
                              std::to_string(keep) + "/" +
-                             std::to_string(bytes.size()) + " bytes");
+                             std::to_string(total) + " bytes");
   }
-  inner_.write_file(path, bytes);
+  inner_.write_file(path, std::move(bytes));
 }
 
 void ArmedStorage::rename_file(const std::string& from, const std::string& to) {

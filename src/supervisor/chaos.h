@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "ckpt/storage.h"
@@ -102,7 +101,7 @@ class ArmedStorage final : public ckpt::Storage {
   int torn_writes() const { return torn_writes_; }
 
   void create_dirs(const std::string& path) override;
-  void write_file(const std::string& path, std::string_view bytes) override;
+  void write_file(const std::string& path, std::string bytes) override;
   void rename_file(const std::string& from, const std::string& to) override;
   std::string read_file(const std::string& path) override;
   bool exists(const std::string& path) override;

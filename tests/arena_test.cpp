@@ -2,13 +2,18 @@
 // checksums (reuse must never overlap live buffers), high-water accounting
 // against the cost model's memory prediction, steady-state hit-rate
 // regressions for the training loop (zero mallocs on the hot path), a
-// concurrent-stage allocation test for TSan, and the per-thread caches'
-// handoff, thread-exit and trim paths.
+// concurrent-stage allocation test for TSan, the per-thread caches'
+// handoff, thread-exit and trim paths, and reserve()'s residency (reserved
+// slab pages stay untouched until a tensor uses them).
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <fstream>
 #include <limits>
 #include <mutex>
 #include <thread>
@@ -19,6 +24,17 @@
 #include "model/tensor.h"
 #include "runtime/train_session.h"
 #include "util/rng.h"
+
+// Sanitizer runtimes keep shadow memory for every allocation, resident by
+// design, so a residency bound only holds in plain builds.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define AUTOPIPE_TEST_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
+    __has_feature(memory_sanitizer)
+#define AUTOPIPE_TEST_SANITIZED 1
+#endif
+#endif
 
 namespace autopipe::model {
 namespace {
@@ -102,6 +118,42 @@ TEST(Arena, ReserveMakesFollowingAllocationsSlabFree)
   const auto after = arena.stats();
   EXPECT_EQ(after.slab_allocs, before.slab_allocs)
       << "allocation within reserved capacity grew a slab";
+}
+
+/// This process's resident set (VmRSS), from /proc/self/statm.
+std::size_t resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::size_t size_pages = 0, resident_pages = 0;
+  statm >> size_pages >> resident_pages;
+  return resident_pages * static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+}
+
+TEST(Arena, ReserveLeavesSlabPagesUntouchedUntilUsed) {
+  Arena& arena = Arena::global();
+  const auto before = arena.stats();
+  const std::size_t rss_before = resident_bytes();
+  // Asking for more than every existing slab holds forces a new slab of at
+  // least 64 MiB, whatever earlier tests left in this process's arena.
+  constexpr std::size_t kReserve = std::size_t{64} << 20;
+  arena.reserve(before.slab_bytes + kReserve);
+  const auto reserved = arena.stats();
+  const std::size_t grown = reserved.slab_bytes - before.slab_bytes;
+  ASSERT_GE(grown, kReserve);
+  const std::size_t rss_grown =
+      resident_bytes() - std::min(resident_bytes(), rss_before);
+#ifndef AUTOPIPE_TEST_SANITIZED
+  EXPECT_LT(rss_grown, grown / 8)
+      << "reserve() made " << rss_grown << " of " << grown
+      << " reserved bytes resident";
+#else
+  (void)rss_grown;
+#endif
+
+  // A zeroed tensor carved from the reserve reads all zeros.
+  const Tensor t({static_cast<int>(kReserve / 2 / sizeof(float))});
+  EXPECT_EQ(arena.stats().slab_allocs, reserved.slab_allocs);
+  EXPECT_TRUE(std::all_of(t.data(), t.data() + t.numel(),
+                          [](float v) { return v == 0.0f; }));
 }
 
 TEST(Arena, ConcurrentStageAllocationIsRaceFree) {

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "core/resume.h"
 #include "costmodel/analytic.h"
 #include "faults/storage_faults.h"
+#include "guard/guard.h"
 #include "model/transformer.h"
 #include "runtime/train_session.h"
 #include "util/checksum.h"
@@ -404,6 +406,103 @@ TEST(CkptResume, FailedCheckpointNeverKillsTraining) {
   EXPECT_EQ(reader.committed_steps(), std::vector<int>{4});
 }
 
+// ------------------------------------------------- live-writer byte parity
+
+/// Every file under `dir`, as (path, bytes), in listing order.
+std::vector<std::pair<std::string, std::string>> files_under(
+    MemStorage& mem, const std::string& dir) {
+  std::vector<std::pair<std::string, std::string>> out;
+  for (const std::string& name : mem.list_dir(dir)) {
+    const std::string path = dir + "/" + name;
+    if (mem.has_file(path)) {
+      out.emplace_back(path, mem.read_file(path));
+    } else {
+      for (auto& f : files_under(mem, path)) out.push_back(std::move(f));
+    }
+  }
+  return out;
+}
+
+/// The files one checkpoint write of `state` leaves in fresh storage.
+template <typename State>
+std::vector<std::pair<std::string, std::string>> written_files(
+    const State& state, const std::uint32_t* verified) {
+  MemStorage mem;
+  CheckpointWriter(mem, "ck").write(state, verified);
+  return files_under(mem, "ck");
+}
+
+/// (stages, guards on)
+class CkptLiveWriter
+    : public testing::TestWithParam<std::tuple<int, bool>> {};
+
+TEST_P(CkptLiveWriter, FilesMatchWritingTheCapturedState) {
+  const int stages = std::get<0>(GetParam());
+  const bool guarded = std::get<1>(GetParam());
+  const std::vector<std::vector<int>> partitions = {
+      {8}, {4, 4}, {2, 3, 3}, {2, 2, 2, 2}};
+  MemStorage mem;
+  auto opts = session_options(&mem, "ck", 1);
+  opts.counts = partitions[static_cast<std::size_t>(stages - 1)];
+  opts.data_seed = 0x11ULL * static_cast<std::uint64_t>(stages);
+  if (guarded) {
+    opts.guard.handoff_crc = true;
+    opts.guard.nonfinite_checks = true;
+    opts.guard.weight_interval = 1;
+  }
+
+  // Before the first Adam step: no moments, adam_t == 0.
+  {
+    const model::TransformerModel model(opts.spec);
+    const runtime::Adam adam(opts.lr);
+    util::Rng rng(opts.data_seed);
+    const TrainState captured =
+        capture_train_state(model, adam, rng.state(), 0, opts.counts, 0);
+    const auto want = written_files(captured, nullptr);
+    ASSERT_EQ(want.size(), opts.counts.size() + 1);  // records + MANIFEST
+    EXPECT_EQ(written_files(live_view(model, adam, rng.state(), 0,
+                                      opts.counts, 0),
+                            nullptr),
+              want);
+  }
+
+  // The session writes from the live view after every step; its
+  // committed files must equal a write of the same state captured.
+  const auto check_session = [&](runtime::TrainSession& session) {
+    const TrainState state = session.capture();
+    ASSERT_GT(state.adam_t, 0);
+    const std::uint32_t crc = guard::weight_state_crc(state);
+    const auto want = written_files(state, guarded ? &crc : nullptr);
+    ASSERT_EQ(want.size(), state.counts.size() + (guarded ? 2u : 1u));
+    EXPECT_EQ(files_under(mem, "ck/" + step_dir_name(state.step)), want)
+        << "step " << state.step;
+  };
+  runtime::TrainSession first(opts);
+  for (int i = 0; i < 3; ++i) {
+    first.step();
+    check_session(first);
+  }
+
+  // Elastic resume onto another stage count, then more live writes.
+  core::ResumeOptions ropt;
+  ropt.num_gpus = stages % 4 + 1;
+  const auto resumed =
+      core::resume_from_checkpoint(tiny_config(), mem, "ck", ropt);
+  ASSERT_EQ(static_cast<int>(resumed.counts.size()), ropt.num_gpus);
+  auto ropts = opts;
+  ropts.counts = resumed.counts;
+  runtime::TrainSession continued(ropts, resumed.state);
+  for (int i = 0; i < 2; ++i) {
+    continued.step();
+    check_session(continued);
+  }
+  EXPECT_EQ(continued.checkpoints_written(), 2);
+}
+
+INSTANTIATE_TEST_SUITE_P(StagesAndGuards, CkptLiveWriter,
+                         testing::Combine(testing::Values(1, 2, 3, 4),
+                                          testing::Bool()));
+
 // ------------------------------------------------------------------- fuzz
 
 TEST(CkptFuzz, SeededFaultPlansNeverRestoreCorruptState) {
@@ -504,9 +603,9 @@ class RecordingStorage final : public Storage {
   void create_dirs(const std::string& path) override {
     inner_.create_dirs(path);
   }
-  void write_file(const std::string& path, std::string_view bytes) override {
+  void write_file(const std::string& path, std::string bytes) override {
     sizes_.push_back(bytes.size());
-    inner_.write_file(path, bytes);
+    inner_.write_file(path, std::move(bytes));
   }
   void rename_file(const std::string& from, const std::string& to) override {
     inner_.rename_file(from, to);
