@@ -2,32 +2,37 @@
 
 #include <exception>
 #include <sstream>
-
-#include "costmodel/config_io.h"
-#include "costmodel/model_zoo.h"
-#include "util/logging.h"
+#include <type_traits>
 
 namespace autopipe::service {
 
 namespace {
 
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
+/// 64-bit FNV-1a fed with raw field bytes.
+class Fnv1a {
+ public:
+  template <typename T>
+  void add(T value) {
+    static_assert(std::is_arithmetic_v<T> || std::is_enum_v<T>);
+    bytes(&value, sizeof value);
   }
-  return h;
-}
+  void add(const std::string& s) {
+    add(s.size());
+    bytes(s.data(), s.size());
+  }
+  std::uint64_t value() const { return h_; }
 
-/// Digest of a config's full serialized content (timings included): the
-/// memo-pool key component that makes "same shape, drifted timings" a
-/// different memo.
-std::uint64_t config_digest(const costmodel::ModelConfig& config) {
-  std::ostringstream out;
-  costmodel::save_model_config(config, out);
-  return fnv1a(out.str());
-}
+ private:
+  void bytes(const void* data, std::size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < n; ++i) {
+      h_ ^= p[i];
+      h_ *= 0x100000001b3ULL;
+    }
+  }
+
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
 
 std::vector<int> parse_counts(const std::string& csv) {
   std::vector<int> out;
@@ -39,16 +44,18 @@ std::vector<int> parse_counts(const std::string& csv) {
   return out;
 }
 
-/// Blocks whose timings differ between two structurally equal configs --
-/// the "how much did this request drift from the family's last plan"
-/// distance that gates warm starting.
-int changed_blocks(const costmodel::ModelConfig& a,
-                   const costmodel::ModelConfig& b) {
-  if (a.num_blocks() != b.num_blocks()) return a.num_blocks() + b.num_blocks();
+/// Blocks whose timings differ between a remembered plan and a config of
+/// the same family -- the "how much did this request drift from the
+/// family's last plan" distance that gates warm starting.
+int changed_blocks(const std::vector<std::pair<double, double>>& timings,
+                   const costmodel::ModelConfig& config) {
+  if (timings.size() != config.blocks.size()) {
+    return static_cast<int>(timings.size()) + config.num_blocks();
+  }
   int changed = 0;
-  for (std::size_t i = 0; i < a.blocks.size(); ++i) {
-    if (a.blocks[i].fwd_ms != b.blocks[i].fwd_ms ||
-        a.blocks[i].bwd_ms != b.blocks[i].bwd_ms) {
+  for (std::size_t i = 0; i < timings.size(); ++i) {
+    if (timings[i].first != config.blocks[i].fwd_ms ||
+        timings[i].second != config.blocks[i].bwd_ms) {
       ++changed;
     }
   }
@@ -56,6 +63,46 @@ int changed_blocks(const costmodel::ModelConfig& a,
 }
 
 }  // namespace
+
+std::uint64_t config_digest(const costmodel::ModelConfig& config) {
+  Fnv1a h;
+  const costmodel::ModelSpec& spec = config.spec;
+  h.add(spec.name);
+  h.add(spec.num_layers);
+  h.add(spec.hidden);
+  h.add(spec.heads);
+  h.add(spec.vocab);
+  h.add(spec.default_seq);
+  h.add(spec.causal);
+  h.add(config.train.micro_batch_size);
+  h.add(config.train.seq_len);
+  h.add(config.train.recompute);
+  h.add(config.device.name);
+  h.add(config.device.matmul_tflops);
+  h.add(config.device.memband_gbps);
+  h.add(config.device.mem_capacity_bytes);
+  h.add(config.device.kernel_launch_ms);
+  h.add(config.link.name);
+  h.add(config.link.latency_ms);
+  h.add(config.link.bandwidth_gbps);
+  h.add(config.comm_ms);
+  h.add(config.blocks.size());
+  for (const costmodel::Block& b : config.blocks) {
+    h.add(b.name);
+    h.add(b.kind);
+    h.add(b.fwd_ms);
+    h.add(b.bwd_ms);
+    h.add(b.bwd_input_ms);
+    h.add(b.bwd_weight_ms);
+    h.add(b.param_bytes);
+    h.add(b.stash_bytes);
+    h.add(b.work_bytes);
+    h.add(b.output_bytes);
+    h.add(b.bw_state_bytes);
+    h.add(b.layer_units);
+  }
+  return h.value();
+}
 
 std::string ServiceStats::to_line() const {
   std::ostringstream out;
@@ -108,8 +155,8 @@ std::string PlanService::handle_line(const std::string& line) {
 }
 
 std::vector<int> PlanService::resolve_warm_hint(
-    const PlanRequest& req, const costmodel::ModelConfig& config,
-    bool& from_family) {
+    const PlanRequest& req, const std::string& family,
+    const costmodel::ModelConfig& config, bool& from_family) {
   from_family = false;
   if (req.warm == "off") return {};
   if (req.warm != "auto") return parse_counts(req.warm);
@@ -117,11 +164,10 @@ std::vector<int> PlanService::resolve_warm_hint(
   // auto: seed from the family's last plan when the request drifted in few
   // enough blocks for the old plan's neighbourhood to transfer.
   std::lock_guard<std::mutex> lock(history_mu_);
-  const auto it = by_family_.find(family_key(req));
+  const auto it = by_family_.find(family);
   if (it == by_family_.end()) return {};
   const HistoryEntry& entry = *it->second;
-  if (entry.config == nullptr) return {};
-  if (changed_blocks(*entry.config, config) > options_.warm_max_changed) {
+  if (changed_blocks(entry.timings, config) > options_.warm_max_changed) {
     return {};
   }
   from_family = true;
@@ -168,23 +214,18 @@ core::SimMemo* PlanService::memo_for(
   return it->second->memo.get();
 }
 
-void PlanService::remember(
-    const PlanRequest& req, const std::string& canonical,
-    const std::vector<int>& counts,
-    std::shared_ptr<const costmodel::ModelConfig> config) {
-  HistoryEntry entry;
-  entry.canonical = canonical;
-  entry.counts = counts;
-  entry.config = std::move(config);
-  entry.fingerprint = canonical_request(req);
-  entry.family = family_key(req);
-
+void PlanService::remember(HistoryEntry entry) {
   std::lock_guard<std::mutex> lock(history_mu_);
   if (by_fingerprint_.count(entry.fingerprint) != 0) return;
   history_.push_back(std::move(entry));
   const auto it = std::prev(history_.end());
   by_fingerprint_[it->fingerprint] = it;
-  by_family_[it->family] = it;
+  const auto [latest, fresh] = by_family_.try_emplace(it->family, it);
+  if (!fresh) {
+    // Only a family's latest plan is ever compared for drift.
+    BlockTimings().swap(latest->second->timings);
+    latest->second = it;
+  }
   while (history_.size() > options_.max_history) {
     const auto victim = history_.begin();
     const auto fit = by_fingerprint_.find(victim->fingerprint);
@@ -203,7 +244,7 @@ std::string PlanService::handle_plan(const PlanRequest& req) {
   try {
     // O(1) fast path: an exact repeat is served from the stored canonical
     // response (same fingerprint -> same bytes by the purity contract).
-    const std::string fingerprint = canonical_request(req);
+    std::string fingerprint = canonical_request(req);
     {
       std::lock_guard<std::mutex> lock(history_mu_);
       const auto it = by_fingerprint_.find(fingerprint);
@@ -236,10 +277,11 @@ std::string PlanService::handle_plan(const PlanRequest& req) {
     const auto config_sp =
         std::make_shared<const costmodel::ModelConfig>(std::move(config));
     const std::uint64_t digest = config_digest(*config_sp);
+    std::string family = family_key(req);
 
     bool from_family = false;
     const std::vector<int> hint =
-        resolve_warm_hint(req, *config_sp, from_family);
+        resolve_warm_hint(req, family, *config_sp, from_family);
 
     // Pins keep shared memo entries alive across this solve even if the
     // pool evicts them concurrently.
@@ -258,8 +300,16 @@ std::string PlanService::handle_plan(const PlanRequest& req) {
     if (solved.result.warm_started) {
       warm_planned_.fetch_add(1, std::memory_order_relaxed);
     }
-    remember(req, solved.canonical, solved.result.plan.partition.counts,
-             config_sp);
+    HistoryEntry entry;
+    entry.canonical = solved.canonical;
+    entry.counts = solved.result.plan.partition.counts;
+    entry.timings.reserve(config_sp->blocks.size());
+    for (const costmodel::Block& b : config_sp->blocks) {
+      entry.timings.emplace_back(b.fwd_ms, b.bwd_ms);
+    }
+    entry.fingerprint = std::move(fingerprint);
+    entry.family = std::move(family);
+    remember(std::move(entry));
 
     std::ostringstream diag;
     diag << " # src=planned evals=" << solved.result.evaluations

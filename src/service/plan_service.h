@@ -12,7 +12,8 @@
 //    O(1) from the stored canonical response, and the latest plan of each
 //    request *family* (same shape, any block timings) seeds warm-started
 //    incremental re-planning when a request drifts in at most
-//    `warm_max_changed` blocks;
+//    `warm_max_changed` blocks. A family's latest entry keeps only the
+//    per-block timings that drift distance reads, not the config;
 //  * admission control: plan requests run on a bounded worker pool
 //    (util::ThreadPool::try_submit); when the backlog reaches `max_queue`
 //    the request is shed with a `busy` reply instead of queueing unboundedly.
@@ -30,6 +31,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/planner.h"
@@ -74,6 +76,12 @@ struct ServiceStats {
   std::string to_line() const;  ///< the `stats` verb's response line
 };
 
+/// 64-bit FNV-1a over the bit patterns of every config field: spec, train
+/// config, device, link, comm_ms and every Block field (strings with their
+/// length). The memo-pool key component that makes "same shape, drifted
+/// timings" a different memo.
+std::uint64_t config_digest(const costmodel::ModelConfig& config);
+
 class PlanService {
  public:
   explicit PlanService(ServiceOptions options = {});
@@ -99,16 +107,21 @@ class PlanService {
     std::unique_ptr<core::SimMemo> memo;
   };
 
+  /// Per-block (fwd_ms, bwd_ms): all the warm-start gate compares. Kept
+  /// only while the entry is its family's latest plan.
+  using BlockTimings = std::vector<std::pair<double, double>>;
+
   struct HistoryEntry {
     std::string canonical;  ///< response tokens after "ok id=<id> "
     std::vector<int> counts;
-    std::shared_ptr<const costmodel::ModelConfig> config;
+    BlockTimings timings;
     std::string fingerprint;
     std::string family;
   };
 
   std::string handle_plan(const PlanRequest& req);
   std::vector<int> resolve_warm_hint(const PlanRequest& req,
+                                     const std::string& family,
                                      const costmodel::ModelConfig& config,
                                      bool& from_family);
   core::SimMemo* memo_for(std::uint64_t config_digest,
@@ -116,9 +129,7 @@ class PlanService {
                               config,
                           int micro_batches, const costmodel::CommModel& comm,
                           std::vector<std::shared_ptr<MemoEntry>>& pinned);
-  void remember(const PlanRequest& req, const std::string& canonical,
-                const std::vector<int>& counts,
-                std::shared_ptr<const costmodel::ModelConfig> config);
+  void remember(HistoryEntry entry);
 
   ServiceOptions options_;
   util::ThreadPool pool_;

@@ -1,17 +1,25 @@
 // Plan-service tests: wire-protocol parsing, the served-equals-offline
-// determinism contract, history and shared-memo reuse, admission control,
-// the unix-socket transport, and a seeded concurrent request storm (the
-// TSan target for the daemon's cross-request state).
+// determinism contract, history and shared-memo reuse, the config digest,
+// the warm-start gate and history eviction, admission control, the
+// unix-socket transport, a seeded concurrent request storm (the TSan
+// target for the daemon's cross-request state), and a recorded golden of
+// a long plan-cold-shaped stream.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <functional>
+#include <limits>
 #include <random>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -20,6 +28,7 @@
 #include "service/plan_service.h"
 #include "service/protocol.h"
 #include "service/server.h"
+#include "util/rng.h"
 
 namespace autopipe::service {
 namespace {
@@ -242,6 +251,145 @@ TEST(Service, AdmissionControlShedsAtZeroQueue) {
   EXPECT_EQ(service.stats().planned, 0);
 }
 
+// ------------------------------------------------------- config digest
+
+costmodel::ModelConfig zoo_config(const char* model) {
+  const ParsedLine parsed = parse_line(std::string("plan model=") + model);
+  EXPECT_TRUE(parsed.error.empty()) << parsed.error;
+  return request_config(parsed.request);
+}
+
+TEST(Service, ConfigDigestEqualConfigsGiveEqualDigests) {
+  const costmodel::ModelConfig a = zoo_config("gpt2-345m");
+  const costmodel::ModelConfig copy = a;
+  EXPECT_EQ(config_digest(a), config_digest(copy));
+  EXPECT_EQ(config_digest(a), config_digest(zoo_config("gpt2-345m")));
+  EXPECT_NE(config_digest(a), config_digest(zoo_config("bert-large")));
+}
+
+TEST(Service, ConfigDigestChangesWithEverySingleField) {
+  // One edit per field: every ModelSpec, TrainConfig, DeviceProfile and
+  // LinkProfile field, comm_ms, and every Block field of one block. Doubles
+  // move by one ulp. bwd_input_ms, bwd_weight_ms and bw_state_bytes are the
+  // fields the config_io text form does not write.
+  const costmodel::ModelConfig base = zoo_config("gpt2-345m");
+  const auto ulp = [](double& x) {
+    x = std::nextafter(x, std::numeric_limits<double>::infinity());
+  };
+  using Edit = std::function<void(costmodel::ModelConfig&)>;
+  using C = costmodel::ModelConfig;
+  const std::vector<std::pair<std::string, Edit>> edits = {
+      {"spec.name", [](C& c) { c.spec.name += "x"; }},
+      {"spec.num_layers", [](C& c) { ++c.spec.num_layers; }},
+      {"spec.hidden", [](C& c) { ++c.spec.hidden; }},
+      {"spec.heads", [](C& c) { ++c.spec.heads; }},
+      {"spec.vocab", [](C& c) { ++c.spec.vocab; }},
+      {"spec.default_seq", [](C& c) { ++c.spec.default_seq; }},
+      {"spec.causal", [](C& c) { c.spec.causal = !c.spec.causal; }},
+      {"train.micro_batch_size", [](C& c) { ++c.train.micro_batch_size; }},
+      {"train.seq_len", [](C& c) { ++c.train.seq_len; }},
+      {"train.recompute", [](C& c) { c.train.recompute = !c.train.recompute; }},
+      {"device.name", [](C& c) { c.device.name += "x"; }},
+      {"device.matmul_tflops", [&](C& c) { ulp(c.device.matmul_tflops); }},
+      {"device.memband_gbps", [&](C& c) { ulp(c.device.memband_gbps); }},
+      {"device.mem_capacity_bytes",
+       [&](C& c) { ulp(c.device.mem_capacity_bytes); }},
+      {"device.kernel_launch_ms",
+       [&](C& c) { ulp(c.device.kernel_launch_ms); }},
+      {"link.name", [](C& c) { c.link.name += "x"; }},
+      {"link.latency_ms", [&](C& c) { ulp(c.link.latency_ms); }},
+      {"link.bandwidth_gbps", [&](C& c) { ulp(c.link.bandwidth_gbps); }},
+      {"comm_ms", [&](C& c) { ulp(c.comm_ms); }},
+      {"block.name", [](C& c) { c.blocks[1].name += "x"; }},
+      {"block.kind",
+       [](C& c) { c.blocks[1].kind = costmodel::BlockKind::Head; }},
+      {"block.fwd_ms", [&](C& c) { ulp(c.blocks[1].fwd_ms); }},
+      {"block.bwd_ms", [&](C& c) { ulp(c.blocks[1].bwd_ms); }},
+      {"block.bwd_input_ms", [&](C& c) { ulp(c.blocks[1].bwd_input_ms); }},
+      {"block.bwd_weight_ms", [&](C& c) { ulp(c.blocks[1].bwd_weight_ms); }},
+      {"block.param_bytes", [&](C& c) { ulp(c.blocks[1].param_bytes); }},
+      {"block.stash_bytes", [&](C& c) { ulp(c.blocks[1].stash_bytes); }},
+      {"block.work_bytes", [&](C& c) { ulp(c.blocks[1].work_bytes); }},
+      {"block.output_bytes", [&](C& c) { ulp(c.blocks[1].output_bytes); }},
+      {"block.bw_state_bytes", [&](C& c) { ulp(c.blocks[1].bw_state_bytes); }},
+      {"block.layer_units", [&](C& c) { ulp(c.blocks[1].layer_units); }},
+      {"blocks.size", [](C& c) { c.blocks.pop_back(); }},
+  };
+  const std::uint64_t base_digest = config_digest(base);
+  std::set<std::uint64_t> seen = {base_digest};
+  for (const auto& [field, edit] : edits) {
+    costmodel::ModelConfig changed = base;
+    edit(changed);
+    const std::uint64_t digest = config_digest(changed);
+    EXPECT_NE(digest, base_digest) << field;
+    EXPECT_TRUE(seen.insert(digest).second) << field << " repeats a digest";
+  }
+}
+
+// ------------------------------------------- warm gate and eviction
+
+/// The ` family=<0|1>` diagnostic of a planned reply: whether the service
+/// seeded the search from the family's last plan.
+std::string family_flag(const std::string& reply) {
+  const auto pos = reply.find(" family=");
+  return pos == std::string::npos ? "?" : reply.substr(pos + 8, 1);
+}
+
+/// A `warm=auto` re-request of `base` whose blocks 1..changed drift by 10%.
+std::string drifted(const std::string& base, int changed) {
+  std::string line = base + " warm=auto perturb=";
+  for (int i = 1; i <= changed; ++i) {
+    if (i > 1) line += ",";
+    line += std::to_string(i) + ":1.1:1.1";
+  }
+  return line;
+}
+
+TEST(Service, AutoWarmSeedsAtExactlyWarmMaxChangedBlocks) {
+  const std::string base = "plan model=gpt2-345m gpus=4 gbs=64 stages=2";
+  for (const int over : {0, 1}) {
+    PlanService service(small_service());
+    const int changed = small_service().warm_max_changed + over;
+    ASSERT_EQ(service.handle_line(base + " warm=off").rfind("ok ", 0), 0u);
+    const std::string line = drifted(base, changed);
+    const std::string reply = service.handle_line(line);
+    ASSERT_EQ(reply.rfind("ok ", 0), 0u) << reply;
+    EXPECT_EQ(family_flag(reply), over == 0 ? "1" : "0")
+        << changed << " changed blocks: " << reply;
+    EXPECT_EQ(parse_warm_hint(reply).empty(), over == 1) << reply;
+    EXPECT_EQ(canonical_part(reply),
+              offline_response(parse_line(line).request,
+                               parse_warm_hint(reply)));
+  }
+}
+
+TEST(Service, HistoryEvictionDropsRepeatAndFamilySeed) {
+  // Three families fill the history; a fourth request then drifts the
+  // first family and a fifth repeats its first request. With room for all
+  // of them the drift is seeded and the repeat is a history hit; with
+  // max_history = 2 the first entry is gone, and with it both.
+  const std::string a = "plan model=gpt2-345m gpus=4 gbs=64 stages=2";
+  for (const std::size_t max_history : {4u, 2u}) {
+    ServiceOptions opts = small_service();
+    opts.max_history = max_history;
+    PlanService service(opts);
+    for (const char* model : {"gpt2-345m", "gpt2-762m", "bert-large"}) {
+      const std::string reply = service.handle_line(
+          std::string("plan model=") + model + " gpus=4 gbs=64 stages=2");
+      ASSERT_EQ(reply.rfind("ok ", 0), 0u) << reply;
+    }
+    const bool kept = max_history == 4;
+    const std::string drift = service.handle_line(drifted(a, 2));
+    EXPECT_EQ(family_flag(drift), kept ? "1" : "0") << drift;
+    const std::string repeat = service.handle_line(a);
+    EXPECT_EQ(repeat.find(" # src=history") != std::string::npos, kept)
+        << repeat;
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.history_hits, kept ? 1 : 0);
+    EXPECT_EQ(stats.history_size, max_history);
+  }
+}
+
 // ------------------------------------------------------ unix socket
 
 int connect_retry(const std::string& path) {
@@ -435,6 +583,54 @@ TEST(Service, SeededStormDeterministicUnderConcurrency) {
   // have been served from history and the rest planned.
   EXPECT_EQ(stats.planned + stats.history_hits, kThreads * kRequests);
   EXPECT_GT(stats.history_hits, 0);
+}
+
+
+// ------------------------------------------------------- stream golden
+
+TEST(Service, SeededStreamMatchesRecordedCanonicalHash) {
+  // A plan-cold-shaped stream through one long-lived service: rotating zoo
+  // models over a 16-GPU depth sweep, warm=auto and warm=off alternating in
+  // blocks of four, two seeded drifted blocks per request. The FNV-1a of
+  // every canonical part and the warm-started count were recorded at the
+  // commit before the binary config digest and the timing-only history;
+  // any change to memo keying or warm seeding that moves a byte shows here.
+  const char* const models[] = {"gpt2-345m", "gpt2-762m", "gpt2-1.3b",
+                                "bert-large"};
+  ServiceOptions opts;
+  opts.workers = 1;
+  PlanService service(opts);
+  util::Rng rng(2024);
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  constexpr int kRequests = 2000;
+  for (int i = 0; i < kRequests; ++i) {
+    const char* model = models[i % 4];
+    const int blocks = 2 * costmodel::model_by_name(model).num_layers + 2;
+    const int a = static_cast<int>(rng.next_below(blocks));
+    const int b = (a + 1 + static_cast<int>(rng.next_below(blocks - 1))) %
+                  blocks;
+    double f[4];
+    for (double& x : f) x = rng.uniform(0.95, 1.05);
+    char line[200];
+    std::snprintf(line, sizeof(line),
+                  "plan id=s%d model=%s gpus=16 gbs=128 stages=0 warm=%s "
+                  "perturb=%d:%.4f:%.4f,%d:%.4f:%.4f",
+                  i, model, (i / 4) % 2 == 0 ? "auto" : "off", std::min(a, b),
+                  f[0], f[1], std::max(a, b), f[2], f[3]);
+    const std::string reply = service.handle_line(line);
+    ASSERT_EQ(reply.rfind("ok ", 0), 0u) << reply;
+    for (const char c : canonical_part(reply) + "\n") {
+      hash ^= static_cast<unsigned char>(c);
+      hash *= 0x100000001b3ULL;
+    }
+  }
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016llx",
+                static_cast<unsigned long long>(hash));
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(std::string(hex), "545f51a186252568");
+  EXPECT_EQ(stats.planned + stats.history_hits, kRequests);
+  EXPECT_EQ(stats.warm_planned, 249);
 }
 
 }  // namespace
